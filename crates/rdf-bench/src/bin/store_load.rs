@@ -5,13 +5,12 @@
 //! store_load [--scale F] [--reps N] [--json-dir D|none]
 //! ```
 //!
-//! Writes `BENCH_store_load.json` with three timings — reparse, varint
-//! store decode, and the fixed-layout (v2) zero-copy view — the
-//! speedups between them, the resident-bytes footprint of the borrowed
-//! view vs owned columns, and an embedded `run_report` from one
-//! instrumented load. The speedups here compare single-threaded
-//! algorithms, so they are meaningful on any core count and bypass the
-//! parallel-speedup honesty gate.
+//! Writes `BENCH_store_load.json` with three timings — reparse, owned
+//! store load, and the borrowed (zero-copy) view — the speedups between
+//! them, the resident-bytes footprint of the borrowed view, and an
+//! embedded `run_report` from one instrumented load. The speedups here
+//! compare single-threaded algorithms, so they are meaningful on any
+//! core count and bypass the parallel-speedup honesty gate.
 //! The acceptance bar for the store subsystem is a ≥ 5× faster load;
 //! the binary exits non-zero below 1× (load slower than parse) so CI
 //! would catch a regression that large immediately.
@@ -21,10 +20,7 @@ use rdf_datagen::{generate_efo, EfoConfig};
 use rdf_io::{parse_graph, write_graph};
 use rdf_model::Vocab;
 use rdf_obs::Recorder;
-use rdf_store::{
-    graph_to_bytes_layout, BorrowedStoreReader, Layout, StoreBuf,
-    StoreReader,
-};
+use rdf_store::{BorrowedStoreReader, StoreBuf, StoreReader};
 use std::time::Instant;
 
 fn main() {
@@ -93,7 +89,7 @@ fn main() {
     }
     let parse_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
 
-    // Store-load path: checksum + varint decode, no string hashing per
+    // Store-load path: checksums + column copies, no string hashing per
     // node or triple. The reader is built once outside the loop so the
     // timed region decodes (like the parse path reads `&text`) without
     // an extra buffer copy per rep.
@@ -108,47 +104,29 @@ fn main() {
 
     assert_eq!(parsed_count, loaded_count, "both paths build the same graph");
 
-    // Fixed-layout (v2) zero-copy path: the id columns are served as
-    // views of the store buffer — borrowed outright at width 4, widened
-    // without any varint work below it. Measured against the varint
-    // *decode* above, not the reparse.
-    let fixed_bytes =
-        graph_to_bytes_layout(&ds.vocab, &version.graph, Layout::Fixed)
-            .unwrap();
-    let fixed_reader =
-        BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&fixed_bytes));
+    // Zero-copy path: the id columns are served as slices of the store
+    // buffer. Measured against the owned load above, not the reparse.
+    let view_reader =
+        BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&store_bytes));
     let t0 = Instant::now();
     let mut view_count = 0usize;
-    let mut resident_fixed = 0usize;
-    let mut mode = rdf_store::LoadMode::Decode;
+    let mut resident_view = 0usize;
     for _ in 0..reps {
-        let (_, view) = fixed_reader.read_view().unwrap();
+        let (_, view) = view_reader.read_view().unwrap();
         view_count = view.triple_count();
-        resident_fixed = view.resident_bytes();
-        mode = BorrowedStoreReader::load_mode(Layout::Fixed, &view);
+        resident_view = view.resident_bytes();
     }
-    let fixed_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
+    let view_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
     assert_eq!(view_count, loaded_count, "view serves the same graph");
 
-    // Resident-bytes baseline: the same view API over the varint store
-    // owns every column, so its accounting is directly comparable.
-    let varint_reader =
-        BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&store_bytes));
-    let (_, varint_view) = varint_reader.read_view().unwrap();
-    let resident_varint = varint_view.resident_bytes();
-    drop(varint_view);
-
     let speedup = parse_ms / load_ms;
-    let speedup_fixed = load_ms / fixed_ms;
+    let speedup_view = load_ms / view_ms;
     println!("  reparse: {parse_ms:.3} ms/iter ({reps} reps)");
     println!("  load   : {load_ms:.3} ms/iter ({reps} reps)");
-    println!("  fixed  : {fixed_ms:.3} ms/iter ({reps} reps, {mode} mode)");
+    println!("  view   : {view_ms:.3} ms/iter ({reps} reps)");
     println!("  speedup: {speedup:.2}x (reparse/load)");
-    println!("  speedup: {speedup_fixed:.2}x (varint-decode/fixed-{mode})");
-    println!(
-        "  resident: fixed view {resident_fixed} bytes vs owned columns \
-         {resident_varint} bytes"
-    );
+    println!("  speedup: {speedup_view:.2}x (load/view)");
+    println!("  resident: borrowed view {resident_view} bytes");
 
     if let Some(dir) = &json_dir {
         let mut record = BenchRecord::new("store_load", load_ms)
@@ -161,16 +139,13 @@ fn main() {
             // this compares two single-threaded *algorithms* (reparse
             // vs decode), which is meaningful on any core count.
             .metric("speedup", speedup)
-            .metric("fixed_ms", fixed_ms)
-            // Layout-vs-layout comparison (varint decode vs fixed
-            // borrow/widen): also single-threaded on both sides, so it
-            // likewise bypasses the parallel-speedup gate.
-            .metric("speedup_fixed", speedup_fixed)
+            .metric("view_ms", view_ms)
+            // Owned load vs borrowed view: also single-threaded on both
+            // sides, so it likewise bypasses the parallel-speedup gate.
+            .metric("speedup_view", speedup_view)
             .metric("ntriples_bytes", text.len() as f64)
             .metric("store_bytes", store_bytes.len() as f64)
-            .metric("fixed_store_bytes", fixed_bytes.len() as f64)
-            .metric("bytes_resident_fixed", resident_fixed as f64)
-            .metric("bytes_resident_varint", resident_varint as f64);
+            .metric("bytes_resident_view", resident_view as f64);
 
         // One instrumented load so the BENCH json carries per-section
         // spans alongside the headline timings.

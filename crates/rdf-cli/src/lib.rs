@@ -21,7 +21,7 @@ use rdf_align::pipeline::{
 use rdf_align::{RefineEngine, StreamingRefineEngine, Threads};
 use rdf_model::{ShardColumnsSource, Vocab};
 use rdf_obs::{Recorder, RunReport};
-use rdf_store::{AnyReader, BorrowedStoreReader, Layout};
+use rdf_store::{AnyReader, BorrowedStoreReader};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -47,20 +47,16 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// `rdf import [--shards N] [--layout varint|fixed] <input.nt>
-/// <output>` — stream-parse N-Triples into a dictionary-encoded store.
-/// Without `--shards` the output is one `.rdfb` file; with `--shards N`
-/// it is a `.rdfm` manifest plus N subject-hash-partitioned shard files
-/// next to it. `layout` selects the section encoding: varint (the
-/// default, byte-identical to previous releases) or the fixed-width
-/// zero-copy layout.
+/// `rdf import [--shards N] <input.nt> <output>` — stream-parse
+/// N-Triples into a dictionary-encoded store. Without `--shards` the
+/// output is one `.rdfb` file; with `--shards N` it is a `.rdfm`
+/// manifest plus N subject-hash-partitioned shard files next to it.
 pub fn import(
     input: &Path,
     output: &Path,
     shards: Option<usize>,
-    layout: Layout,
 ) -> Result<String, CliError> {
-    import_traced(input, output, shards, layout, &Recorder::disabled())
+    import_traced(input, output, shards, &Recorder::disabled())
 }
 
 /// [`import`] with instrumentation: the streaming parse+write (or, for
@@ -71,7 +67,6 @@ pub fn import_traced(
     input: &Path,
     output: &Path,
     shards: Option<usize>,
-    layout: Layout,
     rec: &Recorder,
 ) -> Result<String, CliError> {
     let file = std::fs::File::open(input).map_err(|e| ctx(input, e))?;
@@ -83,10 +78,9 @@ pub fn import_traced(
                 std::fs::File::create(output).map_err(|e| ctx(output, e))?;
             let mut sp = rec.span("import.run");
             sp.field("bytes_in", in_bytes);
-            let (vocab, graph) = rdf_store::import_ntriples_layout(
+            let (vocab, graph) = rdf_store::import_ntriples(
                 reader,
                 std::io::BufWriter::new(out),
-                layout,
             )
             .map_err(|e| ctx(input, e))?;
             sp.field("nodes", graph.node_count());
@@ -117,10 +111,8 @@ pub fn import_traced(
                 let mut sp = rec.span("import.write");
                 sp.field("shards", n);
                 sp.field("triples", graph.triple_count());
-                rdf_store::save_sharded_layout(
-                    output, &vocab, &graph, n, layout,
-                )
-                .map_err(|e| ctx(output, e))?
+                rdf_store::save_sharded(output, &vocab, &graph, n)
+                    .map_err(|e| ctx(output, e))?
             };
             let out_bytes: u64 = paths
                 .iter()
@@ -144,8 +136,8 @@ pub fn import_traced(
     }
 }
 
-/// `rdf export <input> <output.nt>` — write a store of either layout
-/// back out as canonical (line-sorted) N-Triples.
+/// `rdf export <input> <output.nt>` — write a single-file or sharded
+/// store back out as canonical (line-sorted) N-Triples.
 pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
     let (vocab, graph) = open_any(input)?
         .read_graph(Threads::Auto)
@@ -225,17 +217,7 @@ pub fn info_traced(
                 info.file_bytes,
             );
             for (tag, bytes) in &info.sections {
-                out.push_str(&format!(
-                    "  section {tag}  {bytes} bytes  [{}]\n",
-                    section_encoding(info.layout, tag),
-                ));
-            }
-            if info.header.kind == rdf_store::KIND_GRAPH {
-                out.push_str(&format!(
-                    "  layout {}, load mode {}\n",
-                    info.layout,
-                    load_mode_label(&info),
-                ));
+                out.push_str(&format!("  section {tag}  {bytes} bytes\n"));
             }
             if let Some(threads) = bisim {
                 if streaming {
@@ -247,8 +229,8 @@ pub fn info_traced(
                 }
                 if info.header.kind == rdf_store::KIND_GRAPH {
                     // Zero-copy path: serve the id columns as a view of
-                    // the (mapped) store buffer — fixed-layout stores
-                    // never materialise owned triple vectors here.
+                    // the (mapped) store buffer — no owned triple
+                    // vectors are materialised here.
                     let breader = BorrowedStoreReader::open(input)
                         .map_err(|e| ctx(input, e))?;
                     let (_, view) = breader
@@ -311,10 +293,6 @@ pub fn info_traced(
                 m.triples,
                 m.seed,
             );
-            out.push_str(&format!(
-                "  layout {}\n",
-                Layout::from_version(info.version).unwrap_or_default(),
-            ));
             for (k, (entry, bytes)) in
                 m.shards.iter().zip(&info.shard_bytes).enumerate()
             {
@@ -351,29 +329,6 @@ pub fn info_traced(
             }
             Ok(out)
         }
-    }
-}
-
-/// Render a store's load mode for `rdf info`. A widening load names
-/// the column width that forced it — `widen (width 2)` — so operators
-/// can see *why* the zero-copy path was skipped; `borrow` and `decode`
-/// render as before.
-fn load_mode_label(info: &rdf_store::StoreInfo) -> String {
-    match (info.mode, info.trpl_width) {
-        (rdf_store::LoadMode::Widen, Some(w)) => {
-            format!("widen (width {w})")
-        }
-        (mode, _) => mode.to_string(),
-    }
-}
-
-/// The encoding variant a section body uses under a given layout: the
-/// fixed-width (v2) layout re-encodes only the id columns (`NODE`,
-/// `TRPL`); every other body stays varint (8-padded).
-fn section_encoding(layout: Layout, tag: &str) -> &'static str {
-    match (layout, tag) {
-        (Layout::Fixed, "NODE" | "TRPL") => "fixed",
-        _ => "varint",
     }
 }
 

@@ -1,8 +1,7 @@
 //! `rdf` — the pipeline from the shell: N-Triples → store → alignment.
 //!
 //! ```text
-//! rdf import [--shards N] [--layout varint|fixed] [--trace PATH]
-//!            <input.nt> <output>
+//! rdf import [--shards N] [--trace PATH] <input.nt> <output>
 //! rdf export <input> <output.nt>
 //! rdf info   [--bisim [--streaming]] [--threads N] [--trace PATH] <file>
 //! rdf align  [--method trivial|deblank|hybrid|overlap] [--theta T]
@@ -31,14 +30,11 @@ const USAGE: &str = "\
 usage: rdf <command> [options]
 
 commands:
-  import [--shards N] [--layout varint|fixed] [--trace PATH]
-         <input.nt> <output>
+  import [--shards N] [--trace PATH] <input.nt> <output>
                                     parse N-Triples (streaming) into a
                                     store: one .rdfb file, or with
                                     --shards N a .rdfm manifest plus N
-                                    subject-hash-partitioned shards;
-                                    --layout fixed writes the zero-copy
-                                    fixed-width section layout (v2)
+                                    subject-hash-partitioned shards
   export <input> <output.nt>        write a store (single-file or
                                     sharded) as canonical N-Triples
   info   [--bisim [--streaming]] [--threads N] [--trace PATH] <file>
@@ -103,30 +99,26 @@ EXAMPLES
 ";
 
 const HELP_IMPORT: &str = "\
-usage: rdf import [--shards N] [--layout varint|fixed] [--trace PATH]
-                  <input.nt> <output>
+usage: rdf import [--shards N] [--trace PATH] <input.nt> <output>
 
 Parse N-Triples (streaming, one line resident at a time) into a
 dictionary-encoded store. Without --shards the output is a single
 .rdfb file; with --shards N it is a .rdfm manifest plus N
-subject-hash-partitioned .rdfb shard files written next to it.
---layout selects the section encoding: varint (default, the v1 bytes)
-or fixed, the v2 fixed-width layout whose id columns load zero-copy
-(`rdf info` shows the resulting layout and load mode). Readers resolve
-the layout from the store header, never the extension, so both
-layouts are accepted everywhere a store is. --trace PATH (or
+subject-hash-partitioned .rdfb shard files written next to it. Stores
+hold fixed-width id columns that `rdf info --bisim` serves zero-copy
+from the mapped file; stores written by releases before format
+version 2 are rejected and must be re-imported. --trace PATH (or
 RDF_TRACE=PATH) appends timing events as JSONL; see `rdf stats`.
 
 EXAMPLES
   rdf import /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
-  rdf import --layout fixed /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
   rdf import --shards 4 /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfm
 ";
 
 const HELP_EXPORT: &str = "\
 usage: rdf export <input> <output.nt>
 
-Write a store of either layout (single-file .rdfb or sharded .rdfm)
+Write a store (single-file .rdfb or sharded .rdfm)
 back out as canonical, line-sorted N-Triples.
 
 EXAMPLES
@@ -214,10 +206,11 @@ wire spec.
 Align inputs that are single-file stores are decoded once and kept in
 an in-memory pool keyed by content hash, bounded by --cache-bytes B
 (default 268435456): a warm request skips the store open entirely.
-Eviction is least-recently-used by resident bytes, preferring to keep
-fixed-layout (v2) stores. Requests are handled by a persistent worker
-gang of --threads N (default auto). SIGTERM or SIGINT drains in-flight
-requests and exits 0.
+Eviction is least-recently-used by resident bytes. Requests are
+handled by a persistent worker gang of --threads N (default auto).
+A request line longer than 1 MiB gets one too_large error and that
+connection is closed. SIGTERM or SIGINT drains in-flight requests and
+exits 0.
 
 EXAMPLES
   rdf serve --socket /tmp/rdf.sock --threads 4 &
@@ -295,23 +288,11 @@ fn run(args: &[String]) -> Result<String, String> {
                 return Ok(HELP_IMPORT.to_string());
             }
             let mut shards: Option<usize> = None;
-            let mut layout = rdf_store::Layout::default();
             let mut trace: Option<PathBuf> = None;
             let mut inputs: Vec<PathBuf> = Vec::new();
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--layout" => {
-                        let name =
-                            it.next().ok_or("--layout needs a value")?;
-                        layout = rdf_store::Layout::from_cli(name)
-                            .ok_or_else(|| {
-                                format!(
-                                    "unknown layout {name:?} \
-                                     (expected varint|fixed)"
-                                )
-                            })?;
-                    }
                     "--shards" => {
                         let n = it
                             .next()
@@ -338,7 +319,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .map_err(|_| "import takes exactly two paths")?;
             let rec = trace_recorder(trace)?;
             let out =
-                rdf_cli::import_traced(&input, &output, shards, layout, &rec)
+                rdf_cli::import_traced(&input, &output, shards, &rec)
                     .map_err(|e| e.to_string())?;
             finish_trace(&rec)?;
             Ok(out)

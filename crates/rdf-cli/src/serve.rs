@@ -8,8 +8,10 @@
 //!   `docs/PROTOCOL.md` is normative);
 //! * an LRU **store cache** keyed by content hash: single-file graph
 //!   stores are decoded once and served to every request; eviction is
-//!   by resident bytes, preferring to keep fixed-layout (v2) entries,
-//!   whose on-disk columns are the mmap-shareable ones;
+//!   least-recently-used by resident bytes;
+//! * request lines are read through a fixed cap
+//!   ([`MAX_REQUEST_LINE`]), so a client that never sends a newline
+//!   gets a `too_large` error instead of growing the daemon's memory;
 //! * a persistent [`rdf_par::WorkerPool`] handling connections, so
 //!   steady-state request handling never calls `thread::spawn`;
 //! * per-request [`Recorder`]s, so traces stay isolated per client and
@@ -32,7 +34,7 @@ use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::WorkerPool;
 use rdf_serve::{ErrorKind, Request, Response};
-use rdf_store::{Container, StoreReader, FORMAT_VERSION_FIXED, KIND_MANIFEST};
+use rdf_store::{Container, StoreReader, KIND_MANIFEST};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -42,6 +44,11 @@ use std::time::Instant;
 
 /// Default cache budget: 256 MiB of resident store bytes.
 pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
+
+/// Longest request line the daemon reads, newline included. Requests
+/// are a few hundred bytes of JSON; a longer line is answered with one
+/// `too_large` error and its connection is closed.
+pub const MAX_REQUEST_LINE: u64 = 1024 * 1024;
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,9 +91,6 @@ struct CacheEntry {
     /// File bytes — the eviction currency. The decoded columns cost a
     /// small multiple of this; file size is the stable, cheap proxy.
     resident: u64,
-    /// Fixed-layout (v2) store: preferred resident (its on-disk file
-    /// is the one N processes can share via the page cache).
-    v2: bool,
     /// Last-touched tick for LRU ordering.
     tick: u64,
     store: Arc<CachedStore>,
@@ -138,39 +142,19 @@ impl StoreCache {
         }
     }
 
-    fn insert(
-        &mut self,
-        key: u64,
-        resident: u64,
-        v2: bool,
-        store: Arc<CachedStore>,
-    ) {
+    fn insert(&mut self, key: u64, resident: u64, store: Arc<CachedStore>) {
         self.tick += 1;
         self.entries.push(CacheEntry {
             key,
             resident,
-            v2,
             tick: self.tick,
             store,
         });
-        // Evict by LRU until the budget holds, preferring to evict
-        // varint (v1) entries first: fixed-layout stores are the ones
-        // whose bytes the OS page cache can share across readers.
-        while self.resident() > self.budget && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.v2)
-                .min_by_key(|(_, e)| e.tick)
-                .or_else(|| {
-                    self.entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.tick)
-                })
-                .map(|(i, _)| i)
-                .expect("entries is non-empty");
+        // Evict the least recently used entry until the budget holds.
+        while self.resident() > self.budget {
+            let victim = (0..self.entries.len())
+                .min_by_key(|&i| self.entries[i].tick)
+                .expect("over budget implies an entry");
             self.entries.swap_remove(victim);
             self.evictions += 1;
         }
@@ -245,7 +229,6 @@ impl ServeState {
         }
         let key = fnv1a(&bytes);
         let resident = bytes.len() as u64;
-        let v2 = header.version == FORMAT_VERSION_FIXED;
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(store) = cache.get(key) {
             return Ok((
@@ -259,7 +242,7 @@ impl ServeState {
             .read_graph_traced(rec)
             .map_err(|e| ctx(path, e))?;
         let store = Arc::new(CachedStore { vocab, graph });
-        cache.insert(key, resident, v2, Arc::clone(&store));
+        cache.insert(key, resident, Arc::clone(&store));
         Ok((rebase_into(session, &store.vocab, &store.graph), false))
     }
 
@@ -365,33 +348,15 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             input,
             output,
             shards,
-            layout,
             threads: _,
             trace: _,
-        } => {
-            let layout = match &layout {
-                None => Ok(rdf_store::Layout::default()),
-                Some(name) => {
-                    rdf_store::Layout::from_cli(name).ok_or_else(|| {
-                        return_bad_request(format!(
-                            "unknown layout {name:?} (expected \
-                             varint|fixed)"
-                        ))
-                    })
-                }
-            };
-            match layout {
-                Err(resp) => return resp,
-                Ok(layout) => crate::import_traced(
-                    Path::new(&input),
-                    Path::new(&output),
-                    shards,
-                    layout,
-                    &rec,
-                )
-                .map(|report| (report, false)),
-            }
-        }
+        } => crate::import_traced(
+            Path::new(&input),
+            Path::new(&output),
+            shards,
+            &rec,
+        )
+        .map(|report| (report, false)),
         Request::Info {
             path,
             bisim,
@@ -451,12 +416,6 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
     }
 }
 
-/// Helper: build the bad-request response used by dispatch's layout
-/// validation (kept out of line so the match stays readable).
-fn return_bad_request(msg: String) -> Response {
-    Response::error(ErrorKind::BadRequest, msg)
-}
-
 /// [`crate::align_traced`] with cached store loads: same session-vocab
 /// construction, same pipeline, same renderer — the report is
 /// byte-identical to the one-shot CLI's. `cached` is true only when
@@ -512,25 +471,49 @@ fn align_cached(
 }
 
 /// Serve one connection: read request lines, answer each with exactly
-/// one response line. Malformed lines get a typed `bad_request` error;
-/// the connection always stays open until the client closes it.
+/// one response line. Malformed lines get a typed `bad_request` error
+/// and the connection stays open; a line reaching
+/// [`MAX_REQUEST_LINE`] bytes without a newline gets one `too_large`
+/// error and the connection is closed, so no client can make the
+/// daemon buffer an unbounded line.
 fn handle_conn<S: Read + Write>(stream: S, state: Arc<ServeState>) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let n = match (&mut reader)
+            .take(MAX_REQUEST_LINE)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = match Request::parse(&line) {
+            Ok(n) => n as u64,
+        };
+        let too_large = n == MAX_REQUEST_LINE && line.last() != Some(&b'\n');
+        let parsed = if too_large {
+            Err(Response::error(
+                ErrorKind::TooLarge,
+                format!(
+                    "request line exceeds {MAX_REQUEST_LINE} bytes; \
+                     closing the connection"
+                ),
+            ))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => Request::parse(text).map_err(|e| {
+                    Response::error(ErrorKind::BadRequest, e)
+                }),
+                Err(_) => Err(Response::error(
+                    ErrorKind::BadRequest,
+                    "request line is not UTF-8",
+                )),
+            }
+        };
+        let resp = match parsed {
             Ok(req) => handle_request(&state, req),
-            Err(e) => {
+            Err(err) => {
                 state.errors.fetch_add(1, Ordering::Relaxed);
-                Response::error(ErrorKind::BadRequest, e)
+                err
             }
         };
         let out = resp.to_line();
@@ -538,6 +521,7 @@ fn handle_conn<S: Read + Write>(stream: S, state: Arc<ServeState>) {
         if s.write_all(out.as_bytes()).is_err()
             || s.write_all(b"\n").is_err()
             || s.flush().is_err()
+            || too_large
         {
             break;
         }
@@ -791,11 +775,7 @@ fn roundtrip<S: Read + Write>(
 mod tests {
     use super::*;
 
-    fn store(
-        dir: &Path,
-        name: &str,
-        layout: rdf_store::Layout,
-    ) -> PathBuf {
+    fn store(dir: &Path, name: &str) -> PathBuf {
         let mut vocab = Vocab::new();
         let g = {
             let mut b = rdf_model::RdfGraphBuilder::new(&mut vocab);
@@ -808,7 +788,7 @@ mod tests {
             b.finish()
         };
         let path = dir.join(name);
-        rdf_store::save_graph_layout(&path, &vocab, &g, layout).unwrap();
+        rdf_store::save_graph(&path, &vocab, &g).unwrap();
         path
     }
 
@@ -835,7 +815,7 @@ mod tests {
     #[test]
     fn cache_serves_warm_hits_and_counts() {
         let dir = tmp("cache");
-        let path = store(&dir, "a.rdfb", rdf_store::Layout::Varint);
+        let path = store(&dir, "a.rdfb");
         let state =
             Arc::new(ServeState::new(Threads::Fixed(1), 1, 1 << 20));
         let rec = Recorder::disabled();
@@ -857,40 +837,47 @@ mod tests {
     }
 
     #[test]
-    fn tiny_budget_evicts_and_prefers_v2_residents() {
+    fn tiny_budget_evicts_least_recently_used() {
         let dir = tmp("evict");
-        let a = store(&dir, "a.rdfb", rdf_store::Layout::Varint);
-        let b = store(&dir, "b.rdfb", rdf_store::Layout::Fixed);
-        let c = store(&dir, "c.rdfb", rdf_store::Layout::Varint);
+        let a = store(&dir, "a.rdfb");
+        let b = store(&dir, "b.rdfb");
+        let c = store(&dir, "c.rdfb");
         let a_bytes = std::fs::metadata(&a).unwrap().len();
         let b_bytes = std::fs::metadata(&b).unwrap().len();
-        // Budget fits the v1 + v2 pair but not a third store.
+        // Budget fits two stores but not a third.
         let state = Arc::new(ServeState::new(
             Threads::Fixed(1),
             1,
             a_bytes + b_bytes,
         ));
         let rec = Recorder::disabled();
-        for p in [&a, &b, &c] {
-            let mut v = Vocab::new();
+        let load = |p: &Path| {
             state
-                .load_cached(p, &mut v, Threads::Fixed(1), &rec)
-                .unwrap();
+                .load_cached(p, &mut Vocab::new(), Threads::Fixed(1), &rec)
+                .unwrap()
+                .1
+        };
+        // Touch `a` again after `b`, so `b` is least recently used when
+        // `c` arrives.
+        for p in [&a, &b, &a, &c] {
+            load(p);
         }
         let cache = state.cache.lock().unwrap();
         assert_eq!(cache.evictions, 1);
-        // The fixed-layout (v2) store survived; the oldest varint
-        // entry was the victim even though `a` was least recently
-        // used *and* v2 `b` was older than `c`.
-        assert!(cache.entries.iter().any(|e| e.v2));
         assert_eq!(cache.entries.len(), 2);
+        drop(cache);
+        // `a` and `c` survived (warm); `b` was the victim (cold).
+        assert!(load(&a));
+        assert!(load(&c));
+        assert!(!load(&b));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn malformed_lines_get_typed_errors_and_keep_the_connection() {
-        // Drive handle_conn over an in-memory stream: three bad lines
-        // then a good stats request — all four get responses. The sink
+        // Drive handle_conn over an in-memory stream: four bad lines
+        // (one not UTF-8) then a good stats request — all five get
+        // responses. The sink
         // is shared so the output survives handle_conn taking the
         // stream by value.
         #[derive(Clone, Default)]
@@ -923,7 +910,7 @@ mod tests {
                 Ok(())
             }
         }
-        let input = b"not json\n{\"op\":\"fly\"}\n{\"op\":\"align\"}\n{\"op\":\"stats\"}\n";
+        let input = b"not json\n{\"op\":\"fly\"}\n{\"op\":\"align\"}\n\xff\xfe\n{\"op\":\"stats\"}\n";
         let out = SharedOut::default();
         let conn = Conn {
             input: std::io::Cursor::new(input.to_vec()),
@@ -937,8 +924,8 @@ mod tests {
         )
         .unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "one response per line: {text}");
-        for bad in &lines[..3] {
+        assert_eq!(lines.len(), 5, "one response per line: {text}");
+        for bad in &lines[..4] {
             let resp = Response::parse(bad).unwrap();
             assert!(
                 matches!(
@@ -951,7 +938,7 @@ mod tests {
                 "expected bad_request, got {bad}"
             );
         }
-        let last = Response::parse(lines[3]).unwrap();
+        let last = Response::parse(lines[4]).unwrap();
         assert!(matches!(last, Response::Ok { .. }), "got {last:?}");
     }
 

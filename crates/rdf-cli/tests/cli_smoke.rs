@@ -640,6 +640,54 @@ fn import_rejects_archive_containers() {
     assert!(info_out.contains("bisimulation: n/a"), "got: {info_out}");
 }
 
+/// Stores in a layout this build no longer reads — a version-1 header,
+/// or a column narrower than 4 bytes — fail `align`, `info` and
+/// `export` with a non-zero exit and a message naming the file and
+/// asking for a re-import; they never panic or load garbage.
+#[test]
+fn old_layout_stores_are_rejected_with_the_path() {
+    let dir = TempDir::new("old-layout");
+    let nt = dir.path("g.nt");
+    std::fs::write(&nt, "<u:s> <u:p> <u:o> .\n<u:s> <u:q> \"v\" .\n").unwrap();
+    let good = dir.path("good.rdfb");
+    run_ok(&["import", s(&nt), s(&good)]);
+    let bytes = std::fs::read(&good).unwrap();
+
+    // Version 1 in the header (the header carries no checksum).
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    // Width 2 in the NODE preamble, with the section CRC recomputed so
+    // the width check itself is what fails.
+    let c = rdf_store::Container::parse(&bytes).unwrap();
+    let node = c.section(*b"NODE").unwrap();
+    let off = node.as_ptr() as usize - bytes.as_ptr() as usize;
+    let mut w2 = bytes.clone();
+    w2[off + 8] = 2;
+    let crc = rdf_store::checksum::crc32(&w2[off..off + node.len()]);
+    w2[off - 4..off].copy_from_slice(&crc.to_le_bytes());
+
+    for (name, image, needle) in [
+        ("v1.rdfb", v1, "format version 1"),
+        ("w2.rdfb", w2, "column width 2"),
+    ] {
+        let path = dir.path(name);
+        std::fs::write(&path, image).unwrap();
+        for args in [
+            vec!["align", s(&path), s(&good)],
+            vec!["info", "--bisim", s(&path)],
+            vec!["export", s(&path), s(&dir.path("out.nt"))],
+        ] {
+            let err = run_err(&args);
+            assert!(
+                err.contains(name) && err.contains(needle),
+                "{args:?}: {err}"
+            );
+            assert!(err.contains("re-import"), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
+}
+
 /// An unwritable `--trace` path fails *eagerly*: the error names the
 /// trace file and arrives before any input is touched — even when the
 /// input path is also bogus, the trace path is the one reported.

@@ -348,3 +348,44 @@ fn served_info_matches_one_shot_cli() {
     assert!(clean);
     assert!(rest.contains("requests served"), "{rest:?}");
 }
+
+/// A client that streams 8 MiB without a newline gets one typed
+/// `too_large` error and its connection is closed — the daemon reads
+/// only up to its line cap — while a second connection is still served.
+#[test]
+fn oversized_request_line_gets_too_large_and_server_keeps_serving() {
+    let dir = TempDir::new("too-large");
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &["--threads", "2"]);
+
+    let stream = UnixStream::connect(&daemon.socket).expect("connects");
+    let mut writer = stream.try_clone().unwrap();
+    // Write from a second thread: once the daemon stops reading, this
+    // write blocks until the daemon closes the connection.
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..8 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""ok":false"#), "typed error: {reply}");
+    assert!(reply.contains(r#""kind":"too_large""#), "too_large: {reply}");
+    // The daemon closed this connection: end of stream (or a reset,
+    // since it left the rest of the line unread), never another line.
+    let mut rest = String::new();
+    assert!(
+        !matches!(reader.read_line(&mut rest), Ok(n) if n > 0),
+        "connection still open: {rest:?}"
+    );
+    sender.join().unwrap();
+
+    let stats =
+        run_ok(&["request", "--socket", daemon.sock(), r#"{"op":"stats"}"#]);
+    assert!(stats.contains("errors 1"), "error counted: {stats}");
+    let (clean, _) = daemon.terminate();
+    assert!(clean, "daemon exited non-zero");
+}

@@ -2,22 +2,21 @@
 //! columns may borrow from an external byte buffer instead of owning
 //! copies — the model half of the zero-copy store load path.
 //!
-//! The fixed-width `.rdfb` layout (layout v2, `docs/FORMAT.md` §7)
-//! stores the `NODE` label array and the `TRPL` subject/predicate/
-//! object columns as padded little-endian fixed-width arrays. When a
-//! column is 4 bytes wide and the buffer is aligned, the reader hands
-//! it out as a `&[NodeId]`/`&[LabelId]` slice *borrowing the file
-//! bytes* (see the cast helpers below); narrower columns are widened
-//! into owned vectors — still without any varint decode. Either way
-//! the result is a [`TripleGraphView`], which serves the same
-//! [`OutColumns`] the refinement engine consumes from a resident
-//! graph, so `info --bisim` can run straight off the buffer.
+//! The `.rdfb` graph store (`docs/FORMAT.md` §3) keeps the `NODE`
+//! label array and the `TRPL` subject/predicate/object columns as
+//! padded 4-byte little-endian arrays. When the buffer is aligned, the
+//! reader hands each column out as a `&[NodeId]`/`&[LabelId]` slice
+//! *borrowing the file bytes* (see the cast helpers below); otherwise
+//! it copies the column into an owned vector. Either way the result is
+//! a [`TripleGraphView`], which serves the same [`OutColumns`] the
+//! refinement engine consumes from a resident graph, so `info --bisim`
+//! can run straight off the buffer.
 //!
 //! The casts rely on two invariants, both stated at the type
 //! definitions: [`NodeId`] and [`LabelId`] are `repr(transparent)`
 //! over `u32`, and the reinterpretation is only offered on
 //! little-endian targets (big-endian callers get `None` and fall back
-//! to widening).
+//! to an owned copy).
 
 use crate::graph::{NodeId, OutColumns, RawPartsError, Triple, TripleGraph};
 use crate::label::{LabelId, LabelKind};
@@ -25,7 +24,7 @@ use std::borrow::Cow;
 
 /// Reinterpret little-endian bytes as a `u32` slice without copying.
 ///
-/// Returns `None` — callers fall back to an owned widening copy — when
+/// Returns `None` — callers fall back to an owned copy — when
 /// the target is big-endian, the length is not a multiple of 4, or the
 /// buffer is not 4-byte aligned.
 pub fn u32s_from_le_bytes(bytes: &[u8]) -> Option<&[u32]> {

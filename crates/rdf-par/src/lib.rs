@@ -28,7 +28,6 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier, BarrierWaitResult, Mutex};
 use std::time::Instant;
 
@@ -253,7 +252,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct WorkerPool {
     tx: Option<mpsc::Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    completed: Arc<AtomicU64>,
 }
 
 impl WorkerPool {
@@ -263,11 +261,9 @@ impl WorkerPool {
         let n = threads.resolve();
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
-        let completed = Arc::new(AtomicU64::new(0));
         let workers = (0..n)
             .map(|k| {
                 let rx = Arc::clone(&rx);
-                let completed = Arc::clone(&completed);
                 std::thread::Builder::new()
                     .name(format!("rdf-worker-{k}"))
                     .spawn(move || loop {
@@ -286,8 +282,6 @@ impl WorkerPool {
                                 let _ = catch_unwind(
                                     AssertUnwindSafe(job),
                                 );
-                                completed
-                                    .fetch_add(1, Ordering::Relaxed);
                             }
                             // Channel closed: pool is shutting down.
                             Err(_) => break,
@@ -299,19 +293,12 @@ impl WorkerPool {
         WorkerPool {
             tx: Some(tx),
             workers,
-            completed,
         }
     }
 
     /// Number of worker threads.
     pub fn size(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Total jobs executed so far (including panicked ones) — a cheap
-    /// liveness/stats signal for `stats` endpoints.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
     }
 
     /// Enqueue a fire-and-forget job. Panics in the job are swallowed
@@ -360,6 +347,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Every test that reads *or* writes `RDF_THREADS` holds this lock:
     /// libtest runs tests on multiple threads, and a concurrent
@@ -494,7 +482,6 @@ mod tests {
         let results: Vec<u64> =
             (0..32u64).map(|i| pool.run(move || i * i).unwrap()).collect();
         assert_eq!(results, (0..32u64).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(pool.completed(), 32);
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   JSON object — no length prefixes, no continuation lines;
 //! * a malformed line yields an `ok:false` response with kind
 //!   [`ErrorKind::BadRequest`]; the connection stays open;
+//! * a line longer than the server's cap yields one
+//!   [`ErrorKind::TooLarge`] response, then the server closes that
+//!   connection;
+//! * unknown request fields are ignored;
 //! * requests on one connection are answered in order.
 
 #![deny(missing_docs)]
@@ -39,9 +43,6 @@ pub enum Request {
         output: String,
         /// Shard count for a sharded store; `None` for single-file.
         shards: Option<usize>,
-        /// Section layout: `"varint"` or `"fixed"`; `None` for the
-        /// server default (varint).
-        layout: Option<String>,
         /// Per-request thread budget; `None` for the server default.
         threads: Option<usize>,
         /// Return the request's JSONL trace in the response.
@@ -112,7 +113,6 @@ impl Request {
                 input: req_str(&v, "input")?,
                 output: req_str(&v, "output")?,
                 shards: opt_usize(&v, "shards")?,
-                layout: opt_str(&v, "layout")?,
                 threads: opt_usize(&v, "threads")?,
                 trace: opt_bool(&v, "trace")?.unwrap_or(false),
             }),
@@ -148,16 +148,12 @@ impl Request {
                 input,
                 output,
                 shards,
-                layout,
                 threads,
                 trace,
             } => {
                 push_str_field(&mut s, "input", input);
                 push_str_field(&mut s, "output", output);
                 push_opt_num(&mut s, "shards", *shards);
-                if let Some(l) = layout {
-                    push_str_field(&mut s, "layout", l);
-                }
                 push_opt_num(&mut s, "threads", *threads);
                 push_bool_if(&mut s, "trace", *trace);
             }
@@ -206,6 +202,9 @@ pub enum ErrorKind {
     /// The request line itself was unusable (bad JSON, missing field,
     /// unknown op). The connection stays open.
     BadRequest,
+    /// The request line exceeded the server's length cap without a
+    /// newline. The server closes that connection after answering.
+    TooLarge,
     /// The operation ran and failed (missing file, corrupt store,
     /// unknown method, …) — same failures the one-shot CLI reports.
     Engine,
@@ -218,6 +217,7 @@ impl ErrorKind {
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorKind::BadRequest => "bad_request",
+            ErrorKind::TooLarge => "too_large",
             ErrorKind::Engine => "engine",
             ErrorKind::Internal => "internal",
         }
@@ -227,6 +227,7 @@ impl ErrorKind {
     pub fn from_str_wire(s: &str) -> Option<ErrorKind> {
         match s {
             "bad_request" => Some(ErrorKind::BadRequest),
+            "too_large" => Some(ErrorKind::TooLarge),
             "engine" => Some(ErrorKind::Engine),
             "internal" => Some(ErrorKind::Internal),
             _ => None,
@@ -444,7 +445,6 @@ mod tests {
                 input: "a.nt".into(),
                 output: "a.rdfb".into(),
                 shards: Some(4),
-                layout: Some("fixed".into()),
                 threads: Some(2),
                 trace: true,
             },
@@ -499,6 +499,25 @@ mod tests {
     }
 
     #[test]
+    fn unknown_fields_are_ignored() {
+        let r = Request::parse(
+            "{\"op\":\"import\",\"input\":\"a.nt\",\"output\":\"a.rdfb\",\
+             \"layout\":\"varint\"}",
+        )
+        .unwrap();
+        assert_eq!(
+            r,
+            Request::Import {
+                input: "a.nt".into(),
+                output: "a.rdfb".into(),
+                shards: None,
+                threads: None,
+                trace: false,
+            }
+        );
+    }
+
+    #[test]
     fn malformed_requests_name_the_problem() {
         for (line, needle) in [
             ("not json", "bad JSON"),
@@ -543,9 +562,12 @@ mod tests {
 
     #[test]
     fn error_kinds_roundtrip_the_wire() {
-        for kind in
-            [ErrorKind::BadRequest, ErrorKind::Engine, ErrorKind::Internal]
-        {
+        for kind in [
+            ErrorKind::BadRequest,
+            ErrorKind::TooLarge,
+            ErrorKind::Engine,
+            ErrorKind::Internal,
+        ] {
             assert_eq!(ErrorKind::from_str_wire(kind.as_str()), Some(kind));
         }
         assert_eq!(ErrorKind::from_str_wire("nope"), None);

@@ -12,11 +12,11 @@
 //! flipped bit or a truncated download fails with a typed error instead
 //! of materialising a wrong graph.
 //!
-//! The header version field doubles as the **layout flag**: version 1
-//! containers carry varint section bodies, version 2 containers carry
-//! the fixed-width bodies of the zero-copy load path ([`Layout`],
-//! `docs/FORMAT.md` §7). Layout is always resolved from the header,
-//! never from a file extension.
+//! The header version field is fixed per content kind: graph, manifest
+//! and shard containers are version 2 (fixed-width `NODE`/`TRPL`
+//! columns, 8-padded payloads — `docs/FORMAT.md` §3), archives keep
+//! their version-1 framing. [`Container::parse_header`] rejects any
+//! other pairing, so no reader ever sees a second body layout.
 
 use crate::checksum::crc32;
 use crate::error::StoreError;
@@ -25,69 +25,35 @@ use std::borrow::Cow;
 /// The four magic bytes opening every container.
 pub const MAGIC: [u8; 4] = *b"RDFB";
 
-/// Format version of the varint layout (layout v1) — the default
-/// writer output, byte-identical to every earlier release.
-pub const FORMAT_VERSION: u16 = 1;
+/// Format version of graph, manifest and shard containers: `NODE` and
+/// `TRPL` bodies are 4-byte little-endian columns and every section
+/// payload is zero-padded to a multiple of 8 bytes, so readers can
+/// serve typed slices straight from the file image.
+pub const FORMAT_VERSION: u16 = 2;
 
-/// Format version of the fixed-width layout (layout v2): `NODE`/`TRPL`
-/// bodies are padded little-endian fixed-width arrays and every
-/// section payload is zero-padded to a multiple of 8 bytes, so readers
-/// can serve typed slices straight from the file image
-/// (`docs/FORMAT.md` §7).
-pub const FORMAT_VERSION_FIXED: u16 = 2;
+/// Format version of archive containers ([`KIND_ARCHIVE`]), whose
+/// varint bodies predate the fixed-width layout and are unchanged.
+pub const ARCHIVE_VERSION: u16 = 1;
 
-/// Highest container version this build reads. The version field *is*
-/// the layout flag: 1 = varint bodies, 2 = fixed-width bodies; readers
-/// resolve layout from it, never from a file extension.
-pub const MAX_FORMAT_VERSION: u16 = 2;
-
-/// Section body layout of a container, as selected by the header
-/// version field.
+/// The one section body layout graph stores have.
+///
+/// Kept only because the `perfbench` helper crate passes
+/// `Layout::default()` to [`crate::StoreWriter::write_graph_layout`];
+/// nothing in this workspace selects a layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Layout {
-    /// Layout v1: varint/delta-coded section bodies (smallest files).
+    /// Fixed-width `NODE`/`TRPL` columns ([`FORMAT_VERSION`]).
     #[default]
-    Varint,
-    /// Layout v2: padded fixed-width little-endian section bodies
-    /// (zero-copy or widen-only loads).
     Fixed,
 }
 
-impl Layout {
-    /// The container version a writer stamps for this layout.
-    pub fn version(self) -> u16 {
-        match self {
-            Layout::Varint => FORMAT_VERSION,
-            Layout::Fixed => FORMAT_VERSION_FIXED,
-        }
-    }
-
-    /// Resolve the layout a header version selects, or `None` for a
-    /// version this build does not know.
-    pub fn from_version(version: u16) -> Option<Layout> {
-        match version {
-            FORMAT_VERSION => Some(Layout::Varint),
-            FORMAT_VERSION_FIXED => Some(Layout::Fixed),
-            _ => None,
-        }
-    }
-
-    /// Parse the CLI spelling (`"varint"` / `"fixed"`).
-    pub fn from_cli(name: &str) -> Option<Layout> {
-        match name {
-            "varint" => Some(Layout::Varint),
-            "fixed" => Some(Layout::Fixed),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Layout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Layout::Varint => "varint",
-            Layout::Fixed => "fixed",
-        })
+/// The container version written and accepted for a content kind:
+/// [`ARCHIVE_VERSION`] for archives, [`FORMAT_VERSION`] for the rest.
+pub fn version_for(kind: u8) -> u16 {
+    if kind == KIND_ARCHIVE {
+        ARCHIVE_VERSION
+    } else {
+        FORMAT_VERSION
     }
 }
 
@@ -114,7 +80,7 @@ pub const SECTION_OVERHEAD: usize = 16;
 /// Parsed fixed header of a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
-    /// Format version.
+    /// Format version (always [`version_for`] the kind once parsed).
     pub version: u16,
     /// Content kind ([`KIND_GRAPH`] or [`KIND_ARCHIVE`]).
     pub kind: u8,
@@ -122,15 +88,6 @@ pub struct Header {
     pub sections: u8,
     /// Kind-dependent summary counts (see module docs).
     pub counts: [u64; 3],
-}
-
-impl Header {
-    /// The section body layout the version field selects. Infallible
-    /// for parsed headers: [`Container::parse_header`] already
-    /// rejected unknown versions.
-    pub fn layout(&self) -> Layout {
-        Layout::from_version(self.version).unwrap_or_default()
-    }
 }
 
 /// Accumulates tagged sections, then writes the whole container.
@@ -160,23 +117,11 @@ impl<'a> ContainerWriter<'a> {
         self
     }
 
-    /// Serialise header and sections into `out` with the default
-    /// (layout v1) version stamp.
+    /// Serialise header and sections into `out`, stamping the version
+    /// of `kind` ([`version_for`]).
     pub fn finish(
         self,
         out: &mut impl std::io::Write,
-        kind: u8,
-        counts: [u64; 3],
-    ) -> Result<(), StoreError> {
-        self.finish_versioned(out, FORMAT_VERSION, kind, counts)
-    }
-
-    /// Serialise header and sections into `out`, stamping an explicit
-    /// container version (the layout flag — see [`Layout::version`]).
-    pub fn finish_versioned(
-        self,
-        out: &mut impl std::io::Write,
-        version: u16,
         kind: u8,
         counts: [u64; 3],
     ) -> Result<(), StoreError> {
@@ -184,7 +129,7 @@ impl<'a> ContainerWriter<'a> {
             StoreError::Corrupt("more than 255 sections".into())
         })?;
         out.write_all(&MAGIC)?;
-        out.write_all(&version.to_le_bytes())?;
+        out.write_all(&version_for(kind).to_le_bytes())?;
         out.write_all(&[kind, n])?;
         for c in counts {
             out.write_all(&c.to_le_bytes())?;
@@ -281,7 +226,8 @@ impl<'a> Container<'a> {
     }
 
     /// Parse only the fixed header (no section walking) — enough for a
-    /// cheap `info` on a large file.
+    /// cheap `info` on a large file. A version other than
+    /// [`version_for`] the kind byte is [`StoreError::UnsupportedVersion`].
     pub fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
         // Check the magic before the length, so a short non-container
         // file reports "not an RDFB container" rather than "truncated".
@@ -295,13 +241,13 @@ impl<'a> Container<'a> {
             what: "header",
         })?;
         let version = u16::from_le_bytes(head[4..6].try_into().unwrap());
-        if version == 0 || version > MAX_FORMAT_VERSION {
+        let kind = head[6];
+        if version != version_for(kind) {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
-                supported: MAX_FORMAT_VERSION,
+                supported: version_for(kind),
             });
         }
-        let kind = head[6];
         let sections = head[7];
         let mut counts = [0u64; 3];
         for (i, c) in counts.iter_mut().enumerate() {
@@ -420,37 +366,43 @@ mod tests {
     }
 
     #[test]
-    fn versioned_finish_round_trips_layout() {
-        let mut w = ContainerWriter::new();
+    fn finish_stamps_the_version_of_each_kind() {
         let scratch = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        w.section(*b"AAAA", scratch.as_slice()); // borrowed payload
-        let mut out = Vec::new();
-        w.finish_versioned(&mut out, FORMAT_VERSION_FIXED, KIND_GRAPH, [8, 0, 0])
-            .unwrap();
-        let c = Container::parse(&out).unwrap();
-        assert_eq!(c.header().version, FORMAT_VERSION_FIXED);
-        assert_eq!(c.header().layout(), Layout::Fixed);
-        assert_eq!(c.section(*b"AAAA").unwrap(), scratch.as_slice());
-        // Default finish still stamps v1/varint.
-        let v1 = sample();
-        assert_eq!(
-            Container::parse_header(&v1).unwrap().layout(),
-            Layout::Varint
-        );
+        for kind in [KIND_GRAPH, KIND_MANIFEST, KIND_SHARD, KIND_ARCHIVE] {
+            let mut w = ContainerWriter::new();
+            w.section(*b"AAAA", scratch.as_slice()); // borrowed payload
+            let mut out = Vec::new();
+            w.finish(&mut out, kind, [8, 0, 0]).unwrap();
+            let c = Container::parse(&out).unwrap();
+            assert_eq!(c.header().version, version_for(kind));
+            assert_eq!(c.header().kind, kind);
+            assert_eq!(c.section(*b"AAAA").unwrap(), scratch.as_slice());
+        }
     }
 
     #[test]
-    fn layout_maps_versions_and_cli_names() {
-        assert_eq!(Layout::Varint.version(), FORMAT_VERSION);
-        assert_eq!(Layout::Fixed.version(), FORMAT_VERSION_FIXED);
-        assert_eq!(Layout::from_version(1), Some(Layout::Varint));
-        assert_eq!(Layout::from_version(2), Some(Layout::Fixed));
-        assert_eq!(Layout::from_version(3), None);
-        assert_eq!(Layout::from_cli("varint"), Some(Layout::Varint));
-        assert_eq!(Layout::from_cli("fixed"), Some(Layout::Fixed));
-        assert_eq!(Layout::from_cli("FIXED"), None);
-        assert_eq!(Layout::Varint.to_string(), "varint");
-        assert_eq!(Layout::Fixed.to_string(), "fixed");
+    fn parse_header_rejects_another_kinds_version() {
+        for kind in [KIND_GRAPH, KIND_MANIFEST, KIND_SHARD] {
+            assert_eq!(version_for(kind), FORMAT_VERSION);
+        }
+        assert_eq!(version_for(KIND_ARCHIVE), ARCHIVE_VERSION);
+        // The other kinds' version on an archive (and vice versa) is
+        // rejected, naming the version this build expects.
+        let mut archive = Vec::new();
+        ContainerWriter::new()
+            .finish(&mut archive, KIND_ARCHIVE, [0, 0, 0])
+            .unwrap();
+        archive[4] = FORMAT_VERSION as u8;
+        assert!(matches!(
+            Container::parse_header(&archive),
+            Err(StoreError::UnsupportedVersion { found: 2, supported: 1 })
+        ));
+        let mut graph = sample();
+        graph[4] = ARCHIVE_VERSION as u8;
+        assert!(matches!(
+            Container::parse_header(&graph),
+            Err(StoreError::UnsupportedVersion { found: 1, supported: 2 })
+        ));
     }
 
     #[test]

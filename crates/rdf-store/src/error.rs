@@ -14,11 +14,13 @@ pub enum StoreError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The container's format version is newer than this build supports.
+    /// The container's format version is not the one this build reads
+    /// for its content kind (e.g. a version-1 graph store written
+    /// before the fixed-width layout became the only one).
     UnsupportedVersion {
         /// Version found in the header.
         found: u16,
-        /// Highest version this build reads.
+        /// The version this build reads for the header's content kind.
         supported: u16,
     },
     /// The container holds a different content kind than requested
@@ -104,8 +106,9 @@ impl fmt::Display for StoreError {
             ),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "container format version {found} is newer than supported \
-                 version {supported}"
+                "container format version {found} is not supported (this \
+                 build reads version {supported}); re-import the source \
+                 data to rewrite the file"
             ),
             StoreError::WrongContentKind { found, expected } => write!(
                 f,

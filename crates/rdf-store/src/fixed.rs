@@ -1,59 +1,47 @@
-//! Fixed-width section bodies (container layout v2).
+//! Fixed-width `NODE`/`TRPL` section bodies and the 8-byte padding
+//! rule of graph, manifest and shard containers.
 //!
-//! Layout v2 trades a few bytes of padding for *decodability by
-//! pointer cast*: `NODE` and `TRPL` bodies are little-endian
-//! fixed-width id arrays behind a 16-byte preamble, and **every**
-//! section payload (including the still-varint `DICT`/`BNAM`/`SHRD`)
-//! is zero-padded to a multiple of 8 bytes. Because the container
-//! header is 32 bytes and each section frame 16, every payload then
-//! starts 8-aligned within the file image — so a 4-byte-wide column in
-//! a mapped or 8-aligned buffer can be served as `&[u32]` without a
-//! copy. The normative spec is `docs/FORMAT.md` §7.
+//! The layout trades a few bytes of padding for *decodability by
+//! pointer cast*: `NODE` and `TRPL` bodies are 4-byte little-endian id
+//! columns behind a 16-byte preamble, and **every** section payload
+//! (including the varint `DICT`/`BNAM`/`SHRD`) is zero-padded to a
+//! multiple of 8 bytes. Because the container header is 32 bytes and
+//! each section frame 16, every payload then starts 8-aligned within
+//! the file image — so a column in a mapped or 8-aligned buffer can be
+//! served as `&[u32]` without a copy. The normative spec is
+//! `docs/FORMAT.md` §3.
 //!
 //! Body shapes:
 //!
-//! * fixed `NODE`: `count(u64 LE) · width(u8) · 7 zero bytes`, then one
-//!   label-id column (`count × width` bytes, zero-padded to 8);
-//! * fixed `TRPL`: same preamble, then **three** columns — subject,
-//!   predicate, object — each `count × width` bytes and each
-//!   individually zero-padded to 8 (so every column starts 8-aligned).
+//! * `NODE`: `count(u64 LE) · width(u8) · 7 zero bytes`, then one
+//!   label-id column (`count × 4` bytes, zero-padded to 8);
+//! * `TRPL`: same preamble, then **three** columns — subject,
+//!   predicate, object — each `count × 4` bytes and each individually
+//!   zero-padded to 8 (so every column starts 8-aligned).
 //!
-//! `width` is 1, 2 or 4, chosen by the writer as the *minimal* width
-//! holding the largest id in the section ([`width_for`]) — a canonical
-//! choice, so equal graphs produce equal bytes. Readers accept any of
-//! the three widths. Pad bytes must be zero ([`check_pad8`]); anything
-//! else is a typed corruption error.
+//! The width byte is always [`COLUMN_WIDTH`]; any other value is a
+//! typed corruption error telling the operator to re-import. Pad bytes
+//! must be zero ([`check_pad8`]).
 
 use crate::error::StoreError;
 use rdf_model::{LabelId, NodeId, Triple};
 
-/// Valid fixed-column widths in bytes.
-pub const FIXED_WIDTHS: [u8; 3] = [1, 2, 4];
+/// The width in bytes of every id column.
+pub const COLUMN_WIDTH: u8 = 4;
 
 /// Length of the fixed-section preamble (count + width + padding).
 pub const FIXED_PREAMBLE: usize = 16;
 
-/// Minimal fixed width (1, 2 or 4 bytes) holding `max_id`.
-pub fn width_for(max_id: u32) -> u8 {
-    if max_id <= 0xff {
-        1
-    } else if max_id <= 0xffff {
-        2
-    } else {
-        4
-    }
-}
-
-/// Zero-pad `buf` to a multiple of 8 bytes (layout v2's universal
-/// payload rule).
+/// Zero-pad `buf` to a multiple of 8 bytes (the universal payload
+/// rule).
 pub fn pad8(buf: &mut Vec<u8>) {
     while !buf.len().is_multiple_of(8) {
         buf.push(0);
     }
 }
 
-/// Verify the layout-v2 padding rule at the end of a payload: from
-/// `pos` to `body.len()` there are at most 7 bytes and all are zero.
+/// Verify the padding rule at the end of a payload: from `pos` to
+/// `body.len()` there are at most 7 bytes and all are zero.
 pub fn check_pad8(body: &[u8], pos: usize, what: &str) -> Result<(), StoreError> {
     let tail = body.get(pos..).ok_or(StoreError::Truncated {
         what: "section padding",
@@ -72,76 +60,51 @@ pub fn check_pad8(body: &[u8], pos: usize, what: &str) -> Result<(), StoreError>
     Ok(())
 }
 
-/// Append one id at the given width (LE truncation is lossless by the
-/// writer's width choice).
-#[inline]
-fn push_id(out: &mut Vec<u8>, id: u32, width: u8) {
-    match width {
-        1 => out.push(id as u8),
-        2 => out.extend_from_slice(&(id as u16).to_le_bytes()),
-        _ => out.extend_from_slice(&id.to_le_bytes()),
-    }
-}
-
 /// Write the 16-byte fixed-section preamble.
-fn push_preamble(out: &mut Vec<u8>, count: u64, width: u8) {
+fn push_preamble(out: &mut Vec<u8>, count: u64) {
     out.extend_from_slice(&count.to_le_bytes());
-    out.push(width);
+    out.push(COLUMN_WIDTH);
     out.extend_from_slice(&[0u8; 7]);
 }
 
-/// Encode a fixed `NODE` body (per-node label ids) into `out`
-/// (cleared first — callers reuse one scratch buffer across sections).
-pub fn encode_node_fixed_into(out: &mut Vec<u8>, labels: &[LabelId]) {
-    out.clear();
-    let max = labels.iter().map(|l| l.0).max().unwrap_or(0);
-    let width = width_for(max);
-    push_preamble(out, labels.len() as u64, width);
-    for l in labels {
-        push_id(out, l.0, width);
+/// Append one padded column of ids.
+fn push_column(out: &mut Vec<u8>, ids: impl Iterator<Item = u32>) {
+    for id in ids {
+        out.extend_from_slice(&id.to_le_bytes());
     }
     pad8(out);
 }
 
-/// Encode a fixed `TRPL` body (three padded columns) into `out`
-/// (cleared first). Triples must already be strictly ascending — the
-/// in-memory invariant of every graph this crate persists.
-pub fn encode_trpl_fixed_into(out: &mut Vec<u8>, triples: &[Triple]) {
+/// Encode a `NODE` body (per-node label ids) into `out` (cleared
+/// first — callers reuse one scratch buffer across sections).
+pub fn encode_node_into(out: &mut Vec<u8>, labels: &[LabelId]) {
     out.clear();
-    let max = triples
-        .iter()
-        .map(|t| t.s.0.max(t.p.0).max(t.o.0))
-        .max()
-        .unwrap_or(0);
-    let width = width_for(max);
-    push_preamble(out, triples.len() as u64, width);
-    for pick in [
-        |t: &Triple| t.s.0,
-        |t: &Triple| t.p.0,
-        |t: &Triple| t.o.0,
-    ] {
-        for t in triples {
-            push_id(out, pick(t), width);
-        }
-        pad8(out);
-    }
+    push_preamble(out, labels.len() as u64);
+    push_column(out, labels.iter().map(|l| l.0));
+}
+
+/// Encode a `TRPL` body (three padded columns) into `out` (cleared
+/// first). Triples must already be strictly ascending — the in-memory
+/// invariant of every graph this crate persists.
+pub fn encode_trpl_into(out: &mut Vec<u8>, triples: &[Triple]) {
+    out.clear();
+    push_preamble(out, triples.len() as u64);
+    push_column(out, triples.iter().map(|t| t.s.0));
+    push_column(out, triples.iter().map(|t| t.p.0));
+    push_column(out, triples.iter().map(|t| t.o.0));
 }
 
 /// A parsed fixed-section preamble plus the offsets of its columns.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedBody {
-    /// Number of records (nodes or triples).
-    pub count: usize,
-    /// Column width in bytes (1, 2 or 4).
-    pub width: u8,
     /// Byte length of one column *without* its padding.
     pub col_len: usize,
     /// Byte length of one column *with* its padding to 8.
     pub col_stride: usize,
 }
 
-/// Parse and validate the preamble of a fixed `NODE`/`TRPL` body:
-/// count fits usize, width ∈ {1, 2, 4}, and the payload holds exactly
+/// Parse and validate the preamble of a `NODE`/`TRPL` body: count fits
+/// usize, width is [`COLUMN_WIDTH`], and the payload holds exactly
 /// `columns` padded columns (plus nothing else).
 pub fn parse_fixed_body(
     body: &[u8],
@@ -156,14 +119,16 @@ pub fn parse_fixed_body(
     if let Some(exp) = expected {
         if count != exp {
             return Err(StoreError::Corrupt(format!(
-                "{what}: body claims {count} records, header says {exp}"
+                "{what}: record count {count} disagrees with header {exp}"
             )));
         }
     }
     let width = head[8];
-    if !FIXED_WIDTHS.contains(&width) {
+    if width != COLUMN_WIDTH {
         return Err(StoreError::Corrupt(format!(
-            "{what}: invalid fixed width {width} (must be 1, 2 or 4)"
+            "{what}: unsupported column width {width} (this build reads \
+             only {COLUMN_WIDTH}); re-import the source data to rewrite \
+             the file"
         )));
     }
     if head[9..].iter().any(|&b| b != 0) {
@@ -174,17 +139,16 @@ pub fn parse_fixed_body(
     let count = usize::try_from(count).map_err(|_| {
         StoreError::Corrupt(format!("{what}: record count exceeds usize"))
     })?;
-    let col_len = count.checked_mul(width as usize).ok_or_else(|| {
-        StoreError::Corrupt(format!("{what}: column length overflows"))
-    })?;
+    let overflow =
+        || StoreError::Corrupt(format!("{what}: body length overflows"));
+    let col_len = count
+        .checked_mul(COLUMN_WIDTH as usize)
+        .ok_or_else(overflow)?;
     let col_stride = col_len.div_ceil(8) * 8;
-    let total = FIXED_PREAMBLE
-        .checked_add(col_stride.checked_mul(columns).ok_or_else(|| {
-            StoreError::Corrupt(format!("{what}: body length overflows"))
-        })?)
-        .ok_or_else(|| {
-            StoreError::Corrupt(format!("{what}: body length overflows"))
-        })?;
+    let total = col_stride
+        .checked_mul(columns)
+        .and_then(|c| c.checked_add(FIXED_PREAMBLE))
+        .ok_or_else(overflow)?;
     if body.len() < total {
         return Err(StoreError::Truncated {
             what: "fixed section column",
@@ -207,8 +171,6 @@ pub fn parse_fixed_body(
         }
     }
     Ok(FixedBody {
-        count,
-        width,
         col_len,
         col_stride,
     })
@@ -221,68 +183,52 @@ pub fn fixed_column<'a>(body: &'a [u8], fb: &FixedBody, c: usize) -> &'a [u8] {
     &body[start..start + fb.col_len]
 }
 
-/// Widen one fixed column into owned `u32`s — the no-varint fallback
-/// when a zero-copy borrow is unavailable (width 1/2, misalignment, or
-/// a big-endian host).
-pub fn widen_column(col: &[u8], width: u8) -> Vec<u32> {
-    match width {
-        1 => col.iter().map(|&b| b as u32).collect(),
-        2 => col
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes([c[0], c[1]]) as u32)
-            .collect(),
-        _ => col
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect(),
-    }
+/// Copy one column into owned `u32`s — for owned loads, and for
+/// borrowed views on hosts where the bytes cannot be cast in place
+/// (big-endian targets).
+pub fn read_column(col: &[u8]) -> Vec<u32> {
+    col.chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
 }
 
-/// Decode a fixed `NODE` body into owned label ids (widening path).
-pub fn decode_node_fixed(
+/// Decode a `NODE` body into owned label ids.
+pub fn decode_node(
     body: &[u8],
     expected: Option<u64>,
 ) -> Result<Vec<LabelId>, StoreError> {
-    let fb = parse_fixed_body(body, 1, expected, "fixed NODE section")?;
-    Ok(widen_column(fixed_column(body, &fb, 0), fb.width)
+    let fb = parse_fixed_body(body, 1, expected, "NODE section")?;
+    Ok(read_column(fixed_column(body, &fb, 0))
         .into_iter()
         .map(LabelId)
         .collect())
 }
 
-/// Decode a fixed `TRPL` body into its three widened `u32` columns —
-/// the streaming loader's entry point (it groups the columns into
+/// Decode a `TRPL` body into its three `u32` columns — the streaming
+/// loader's entry point (it groups the columns into
 /// [`rdf_model::ShardColumns`] without an intermediate triple vector).
-pub fn decode_trpl_fixed_cols(
+pub fn decode_trpl_cols(
     body: &[u8],
     expected: Option<u64>,
 ) -> Result<[Vec<u32>; 3], StoreError> {
-    let fb = parse_fixed_body(body, 3, expected, "fixed TRPL section")?;
-    Ok([
-        widen_column(fixed_column(body, &fb, 0), fb.width),
-        widen_column(fixed_column(body, &fb, 1), fb.width),
-        widen_column(fixed_column(body, &fb, 2), fb.width),
-    ])
+    let fb = parse_fixed_body(body, 3, expected, "TRPL section")?;
+    Ok([0, 1, 2].map(|c| read_column(fixed_column(body, &fb, c))))
 }
 
-/// Decode a fixed `TRPL` body into owned triples (widening path),
-/// verifying the strictly-ascending on-disk contract.
-pub fn decode_trpl_fixed(
+/// Decode a `TRPL` body into owned triples, verifying the
+/// strictly-ascending on-disk contract.
+pub fn decode_trpl(
     body: &[u8],
     expected: Option<u64>,
 ) -> Result<Vec<Triple>, StoreError> {
-    let [s, p, o] = decode_trpl_fixed_cols(body, expected)?;
-    let count = s.len();
-    let mut triples = Vec::with_capacity(count);
-    for j in 0..count {
+    let [s, p, o] = decode_trpl_cols(body, expected)?;
+    let mut triples = Vec::with_capacity(s.len());
+    for j in 0..s.len() {
         let t = Triple::new(NodeId(s[j]), NodeId(p[j]), NodeId(o[j]));
-        if let Some(prev) = triples.last() {
-            if *prev >= t {
-                return Err(StoreError::Corrupt(format!(
-                    "fixed TRPL section: triples not strictly \
-                     ascending at record {j}"
-                )));
-            }
+        if triples.last().is_some_and(|prev| *prev >= t) {
+            return Err(StoreError::Corrupt(format!(
+                "TRPL section: triples not strictly ascending at record {j}"
+            )));
         }
         triples.push(t);
     }
@@ -298,111 +244,104 @@ mod tests {
     }
 
     #[test]
-    fn width_is_minimal() {
-        assert_eq!(width_for(0), 1);
-        assert_eq!(width_for(0xff), 1);
-        assert_eq!(width_for(0x100), 2);
-        assert_eq!(width_for(0xffff), 2);
-        assert_eq!(width_for(0x10000), 4);
-        assert_eq!(width_for(u32::MAX), 4);
-    }
-
-    #[test]
-    fn node_round_trip_all_widths() {
-        for max in [5u32, 300, 70_000] {
-            let labels: Vec<LabelId> =
-                (0..9u32).map(|i| LabelId(i * max / 9)).collect();
+    fn node_round_trip() {
+        for max in [5u32, 300, 70_000, u32::MAX] {
+            let labels: Vec<LabelId> = (0..9u32)
+                .map(|i| LabelId((u64::from(max) * u64::from(i) / 9) as u32))
+                .collect();
             let mut body = Vec::new();
-            encode_node_fixed_into(&mut body, &labels);
+            encode_node_into(&mut body, &labels);
             assert_eq!(body.len() % 8, 0);
-            let back = decode_node_fixed(&body, Some(9)).unwrap();
+            assert_eq!(body[8], COLUMN_WIDTH);
+            let back = decode_node(&body, Some(9)).unwrap();
             assert_eq!(back, labels);
         }
         let mut empty = Vec::new();
-        encode_node_fixed_into(&mut empty, &[]);
+        encode_node_into(&mut empty, &[]);
         assert_eq!(empty.len(), FIXED_PREAMBLE);
-        assert_eq!(decode_node_fixed(&empty, Some(0)).unwrap(), vec![]);
+        assert_eq!(decode_node(&empty, Some(0)).unwrap(), vec![]);
     }
 
     #[test]
-    fn trpl_round_trip_all_widths() {
+    fn trpl_round_trip() {
         for max in [9u32, 2_000, 100_000] {
-            let triples: Vec<Triple> = (0..7u32)
+            let mut sorted: Vec<Triple> = (0..7u32)
                 .map(|i| t(i * max / 7, (i + 1) % 5, max - i * (max / 7)))
-                .collect::<Vec<_>>()
-                .into_iter()
                 .collect();
-            let mut sorted = triples.clone();
             sorted.sort_unstable();
             sorted.dedup();
             let mut body = Vec::new();
-            encode_trpl_fixed_into(&mut body, &sorted);
+            encode_trpl_into(&mut body, &sorted);
             assert_eq!(body.len() % 8, 0);
-            let back =
-                decode_trpl_fixed(&body, Some(sorted.len() as u64)).unwrap();
+            let back = decode_trpl(&body, Some(sorted.len() as u64)).unwrap();
             assert_eq!(back, sorted);
         }
         let mut empty = Vec::new();
-        encode_trpl_fixed_into(&mut empty, &[]);
-        assert_eq!(decode_trpl_fixed(&empty, Some(0)).unwrap(), vec![]);
+        encode_trpl_into(&mut empty, &[]);
+        assert_eq!(decode_trpl(&empty, Some(0)).unwrap(), vec![]);
     }
 
     #[test]
     fn scratch_reuse_clears_between_sections() {
         let mut scratch = vec![0xAA; 64];
-        encode_node_fixed_into(&mut scratch, &[LabelId(1), LabelId(2)]);
+        encode_node_into(&mut scratch, &[LabelId(1), LabelId(2)]);
         let first = scratch.clone();
-        encode_node_fixed_into(&mut scratch, &[LabelId(1), LabelId(2)]);
+        encode_node_into(&mut scratch, &[LabelId(1), LabelId(2)]);
         assert_eq!(scratch, first);
     }
 
     #[test]
     fn corruption_is_typed() {
-        let sorted = vec![t(0, 1, 2), t(1, 0, 300)];
+        let sorted = vec![t(0, 1, 2), t(1, 0, 300), t(1, 2, 3)];
         let mut body = Vec::new();
-        encode_trpl_fixed_into(&mut body, &sorted);
+        encode_trpl_into(&mut body, &sorted);
 
-        // Bad width byte.
-        let mut bad = body.clone();
-        bad[8] = 3;
-        assert!(matches!(
-            decode_trpl_fixed(&bad, None),
-            Err(StoreError::Corrupt(m)) if m.contains("invalid fixed width")
-        ));
+        // Any width but 4 — including the 1 and 2 of older writers.
+        for width in [1, 2, 3, 8] {
+            let mut bad = body.clone();
+            bad[8] = width;
+            assert!(matches!(
+                decode_trpl(&bad, None),
+                Err(StoreError::Corrupt(m))
+                    if m.contains("unsupported column width")
+                        && m.contains("re-import")
+            ));
+        }
 
         // Truncation mid-record.
         assert!(matches!(
-            decode_trpl_fixed(&body[..body.len() - 3], Some(2)),
+            decode_trpl(&body[..body.len() - 3], Some(3)),
             Err(StoreError::Truncated { .. }) | Err(StoreError::Corrupt(_))
         ));
 
         // Count mismatch vs header.
         assert!(matches!(
-            decode_trpl_fixed(&body, Some(5)),
-            Err(StoreError::Corrupt(m)) if m.contains("header says 5")
+            decode_trpl(&body, Some(5)),
+            Err(StoreError::Corrupt(m))
+                if m.contains("disagrees with header 5")
         ));
 
         // Non-zero preamble padding.
         let mut bad = body.clone();
         bad[12] = 1;
         assert!(matches!(
-            decode_trpl_fixed(&bad, None),
+            decode_trpl(&bad, None),
             Err(StoreError::Corrupt(m)) if m.contains("preamble padding")
         ));
 
-        // Non-zero column padding (width 2, 2 records -> 4 pad bytes).
+        // Non-zero column padding (3 records × 4 bytes -> 4 pad bytes).
         let mut bad = body.clone();
         *bad.last_mut().unwrap() = 7;
         assert!(matches!(
-            decode_trpl_fixed(&bad, None),
+            decode_trpl(&bad, None),
             Err(StoreError::Corrupt(m)) if m.contains("column padding")
         ));
 
         // Unsorted triples.
         let mut swapped = Vec::new();
-        encode_trpl_fixed_into(&mut swapped, &[t(1, 0, 300), t(0, 1, 2)]);
+        encode_trpl_into(&mut swapped, &[t(1, 0, 300), t(0, 1, 2)]);
         assert!(matches!(
-            decode_trpl_fixed(&swapped, None),
+            decode_trpl(&swapped, None),
             Err(StoreError::Corrupt(m)) if m.contains("ascending")
         ));
 
@@ -410,7 +349,7 @@ mod tests {
         let mut long = body.clone();
         long.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
-            decode_trpl_fixed(&long, None),
+            decode_trpl(&long, None),
             Err(StoreError::Corrupt(m)) if m.contains("trailing")
         ));
     }

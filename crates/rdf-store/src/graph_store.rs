@@ -2,9 +2,9 @@
 //! content kind [`KIND_GRAPH`]).
 //!
 //! A graph container holds four sections — `DICT` (label dictionary),
-//! `NODE` (per-node dictionary ids), `TRPL` (sorted varint-delta
-//! triples) and `BNAM` (document-local blank-node names); their exact
-//! byte layouts are specified in `docs/FORMAT.md` §3.
+//! `NODE` (per-node dictionary ids), `TRPL` (sorted triples as three
+//! fixed-width columns) and `BNAM` (document-local blank-node names);
+//! their exact byte layouts are specified in `docs/FORMAT.md` §3.
 //!
 //! Labels are remapped to *dense* ids in ascending first-use order before
 //! writing, so a store written from a freshly parsed graph has exactly
@@ -12,29 +12,23 @@
 //! graph byte-identical to `parse(text)` — same node ids, same label ids,
 //! same CSR layout — without hashing a single string per node or triple.
 //!
-//! The section bodies are format primitives shared with the *sharded*
-//! layout ([`crate::sharded`]): a manifest carries the same `DICT` /
+//! The section bodies are format primitives shared with *sharded*
+//! stores ([`crate::sharded`]): a manifest carries the same `DICT` /
 //! `NODE` / `BNAM` sections once, globally, while each shard file holds
 //! a `TRPL` section encoding its subject-partition. The encode/decode
-//! helpers below are therefore the single source of truth for both
-//! layouts — byte-identical stitching falls out by construction.
+//! helpers below (and the column codec in [`crate::fixed`]) are
+//! therefore the single source of truth for both — byte-identical
+//! stitching falls out by construction.
 
 use crate::container::{
     Container, ContainerWriter, Header, Layout, KIND_GRAPH, SECTION_OVERHEAD,
 };
 use crate::dict::{read_dict, read_string, write_dict};
 use crate::error::StoreError;
-use crate::borrowed::LoadMode;
-use crate::fixed::{
-    check_pad8, decode_node_fixed, decode_trpl_fixed, encode_node_fixed_into,
-    encode_trpl_fixed_into, pad8, parse_fixed_body,
-};
-use crate::varint::{
-    read_varint_u32, read_varint_usize, write_varint,
-};
+use crate::fixed::{check_pad8, encode_node_into, encode_trpl_into, pad8};
+use crate::varint::{read_varint_u32, read_varint_usize, write_varint};
 use rdf_model::{
-    FxHashMap, LabelId, LabelKind, NodeId, RdfGraph, Triple, TripleGraph,
-    Vocab,
+    FxHashMap, LabelId, LabelKind, NodeId, RdfGraph, TripleGraph, Vocab,
 };
 use rdf_obs::{Recorder, SpanGuard};
 use std::io::Write;
@@ -63,7 +57,6 @@ pub(crate) struct GlobalSections {
 pub(crate) fn encode_global_sections(
     vocab: &Vocab,
     graph: &RdfGraph,
-    layout: Layout,
 ) -> Result<GlobalSections, StoreError> {
     let g = graph.graph();
 
@@ -81,23 +74,13 @@ pub(crate) fn encode_global_sections(
     let mut dict = Vec::new();
     write_dict(&mut dict, vocab, used[1..].iter().copied())?;
 
+    let remapped: Vec<LabelId> = g
+        .labels_raw()
+        .iter()
+        .map(|l| LabelId(dense[l.index()]))
+        .collect();
     let mut node = Vec::new();
-    match layout {
-        Layout::Varint => {
-            write_varint(&mut node, g.node_count() as u64);
-            for &label in g.labels_raw() {
-                write_varint(&mut node, u64::from(dense[label.index()]));
-            }
-        }
-        Layout::Fixed => {
-            let remapped: Vec<LabelId> = g
-                .labels_raw()
-                .iter()
-                .map(|l| LabelId(dense[l.index()]))
-                .collect();
-            encode_node_fixed_into(&mut node, &remapped);
-        }
-    }
+    encode_node_into(&mut node, &remapped);
 
     let mut names: Vec<(NodeId, &str)> = graph
         .blank_names()
@@ -114,11 +97,9 @@ pub(crate) fn encode_global_sections(
         write_varint(&mut bnam, name.len() as u64);
         bnam.extend_from_slice(name.as_bytes());
     }
-    if layout == Layout::Fixed {
-        // Layout v2's universal rule: every payload is padded to 8.
-        pad8(&mut dict);
-        pad8(&mut bnam);
-    }
+    // Every payload is padded to 8, the varint bodies included.
+    pad8(&mut dict);
+    pad8(&mut bnam);
 
     Ok(GlobalSections {
         dict,
@@ -128,45 +109,9 @@ pub(crate) fn encode_global_sections(
     })
 }
 
-/// Encode a `TRPL` body into `out` (cleared first — hot writers hand
-/// the same scratch buffer to every call instead of allocating a fresh
-/// `Vec` per section). Varint layout: varint count, then varint-deltas
-/// over the `(s, p, o)` sequence; fixed layout: three padded columns
-/// ([`crate::fixed`]). The input must be sorted ascending (as graph
-/// triple lists and their subject-partitioned slices always are).
-pub(crate) fn encode_trpl_into(
-    out: &mut Vec<u8>,
-    triples: &[Triple],
-    layout: Layout,
-) {
-    if layout == Layout::Fixed {
-        encode_trpl_fixed_into(out, triples);
-        return;
-    }
-    out.clear();
-    write_varint(out, triples.len() as u64);
-    let (mut prev_s, mut prev_p, mut prev_o) = (0u32, 0u32, 0u32);
-    for t in triples {
-        let ds = t.s.0 - prev_s;
-        if ds > 0 {
-            prev_p = 0;
-            prev_o = 0;
-        }
-        let dp = t.p.0 - prev_p;
-        if dp > 0 {
-            prev_o = 0;
-        }
-        let dobj = t.o.0 - prev_o;
-        write_varint(out, u64::from(ds));
-        write_varint(out, u64::from(dp));
-        write_varint(out, u64::from(dobj));
-        (prev_s, prev_p, prev_o) = (t.s.0, t.p.0, t.o.0);
-    }
-}
-
 /// Bounds-check store label ids against the decoded dictionary and
-/// derive the per-node kind array. Shared by the varint and fixed
-/// `NODE` decoders and the borrowed view path.
+/// derive the per-node kind array. Shared by the owned and borrowed
+/// loads.
 pub(crate) fn kinds_for_labels(
     labels: &[LabelId],
     vocab: &Vocab,
@@ -185,91 +130,16 @@ pub(crate) fn kinds_for_labels(
     Ok(kinds)
 }
 
-/// Decode a `NODE` body into per-node labels + kinds against `vocab`,
-/// dispatching on the container layout. With `expected`, the embedded
-/// node count must match it exactly.
+/// Decode a `NODE` body into per-node labels + kinds against `vocab`.
+/// With `expected`, the embedded node count must match it exactly.
 pub(crate) fn decode_node(
     node: &[u8],
     vocab: &Vocab,
     expected: Option<u64>,
-    layout: Layout,
 ) -> Result<(Vec<LabelId>, Vec<LabelKind>), StoreError> {
-    if layout == Layout::Fixed {
-        let labels = decode_node_fixed(node, expected)?;
-        let kinds = kinds_for_labels(&labels, vocab)?;
-        return Ok((labels, kinds));
-    }
-    let mut pos = 0usize;
-    let node_count = read_varint_usize(node, &mut pos)?;
-    if let Some(exp) = expected {
-        if node_count as u64 != exp {
-            return Err(StoreError::Corrupt(format!(
-                "node count {node_count} disagrees with header {exp}"
-            )));
-        }
-    }
-    // Counts are untrusted: reserve no more than the payload could
-    // encode (>= 1 byte per node), however large the claim.
-    let cap = node_count.min(node.len() - pos);
-    let mut labels = Vec::with_capacity(cap);
-    let mut node_kinds = Vec::with_capacity(cap);
-    for _ in 0..node_count {
-        let id = read_varint_u32(node, &mut pos)?;
-        if id as usize >= vocab.len() {
-            return Err(StoreError::Corrupt(format!(
-                "node label id {id} beyond dictionary of {}",
-                vocab.len()
-            )));
-        }
-        let label = LabelId(id);
-        labels.push(label);
-        node_kinds.push(vocab.kind(label));
-    }
-    Ok((labels, node_kinds))
-}
-
-/// Decode a `TRPL` body into owned triples, dispatching on the
-/// container layout (varint delta decode mirrors the writer exactly;
-/// the fixed path widens columns with zero varint work). With
-/// `expected`, the embedded triple count must match it exactly.
-pub(crate) fn decode_trpl(
-    trpl: &[u8],
-    expected: Option<u64>,
-    layout: Layout,
-) -> Result<Vec<Triple>, StoreError> {
-    if layout == Layout::Fixed {
-        return decode_trpl_fixed(trpl, expected);
-    }
-    let mut pos = 0usize;
-    let triple_count = read_varint_usize(trpl, &mut pos)?;
-    if let Some(exp) = expected {
-        if triple_count as u64 != exp {
-            return Err(StoreError::Corrupt(format!(
-                "triple count {triple_count} disagrees with header {exp}"
-            )));
-        }
-    }
-    // >= 3 bytes per triple, so cap the reservation the same way.
-    let mut triples =
-        Vec::with_capacity(triple_count.min((trpl.len() - pos) / 3 + 1));
-    let (mut s, mut p, mut o) = (0u32, 0u32, 0u32);
-    for _ in 0..triple_count {
-        let ds = read_varint_u32(trpl, &mut pos)?;
-        if ds > 0 {
-            p = 0;
-            o = 0;
-        }
-        let dp = read_varint_u32(trpl, &mut pos)?;
-        if dp > 0 {
-            o = 0;
-        }
-        let dobj = read_varint_u32(trpl, &mut pos)?;
-        s = s.checked_add(ds).ok_or_else(overflow)?;
-        p = p.checked_add(dp).ok_or_else(overflow)?;
-        o = o.checked_add(dobj).ok_or_else(overflow)?;
-        triples.push(Triple::new(NodeId(s), NodeId(p), NodeId(o)));
-    }
-    Ok(triples)
+    let labels = crate::fixed::decode_node(node, expected)?;
+    let kinds = kinds_for_labels(&labels, vocab)?;
+    Ok((labels, kinds))
 }
 
 /// Decode a `BNAM` body into the blank-name map; node ids must stay
@@ -277,7 +147,6 @@ pub(crate) fn decode_trpl(
 pub(crate) fn decode_bnam(
     bnam: &[u8],
     node_count: usize,
-    layout: Layout,
 ) -> Result<FxHashMap<NodeId, String>, StoreError> {
     let mut pos = 0usize;
     let name_count = read_varint_usize(bnam, &mut pos)?;
@@ -299,26 +168,20 @@ pub(crate) fn decode_bnam(
         let name = read_string(bnam, &mut pos, "blank-node name")?;
         blank_names.insert(NodeId(prev), name);
     }
-    if layout == Layout::Fixed {
-        check_pad8(bnam, pos, "BNAM section")?;
-    }
+    check_pad8(bnam, pos, "BNAM section")?;
     Ok(blank_names)
 }
 
 /// Decode a `DICT` body into a fresh vocabulary. With `expected`, the
-/// dictionary entry count must match it exactly. In the fixed layout
-/// the body keeps its varint encoding but gains the universal pad-to-8
-/// tail, which is verified here.
+/// dictionary entry count must match it exactly. The body is varint
+/// encoded with the universal pad-to-8 tail, which is verified here.
 pub(crate) fn decode_dict_checked(
     dict: &[u8],
     expected: Option<u64>,
-    layout: Layout,
 ) -> Result<Vocab, StoreError> {
     let mut pos = 0usize;
     let vocab = read_dict(dict, &mut pos)?;
-    if layout == Layout::Fixed {
-        check_pad8(dict, pos, "DICT section")?;
-    }
+    check_pad8(dict, pos, "DICT section")?;
     if let Some(exp) = expected {
         if vocab.len() as u64 != exp {
             return Err(StoreError::Corrupt(format!(
@@ -342,29 +205,17 @@ impl<W: Write> StoreWriter<W> {
         StoreWriter { out }
     }
 
-    /// Serialise one graph (with the vocabulary its labels live in) in
-    /// the default varint layout and return the sink. Byte-identical to
-    /// every earlier release.
+    /// Serialise one graph (with the vocabulary its labels live in) and
+    /// return the sink.
     pub fn write_graph(
-        self,
-        vocab: &Vocab,
-        graph: &RdfGraph,
-    ) -> Result<W, StoreError> {
-        self.write_graph_layout(vocab, graph, Layout::Varint)
-    }
-
-    /// Serialise one graph in an explicit section layout
-    /// ([`Layout::Varint`] or [`Layout::Fixed`]).
-    pub fn write_graph_layout(
         mut self,
         vocab: &Vocab,
         graph: &RdfGraph,
-        layout: Layout,
     ) -> Result<W, StoreError> {
         let g = graph.graph();
-        let global = encode_global_sections(vocab, graph, layout)?;
+        let global = encode_global_sections(vocab, graph)?;
         let mut trpl = Vec::new();
-        encode_trpl_into(&mut trpl, g.triples(), layout);
+        encode_trpl_into(&mut trpl, g.triples());
 
         let counts = [
             global.dict_count,
@@ -376,9 +227,21 @@ impl<W: Write> StoreWriter<W> {
             .section(TAG_NODE, global.node)
             .section(TAG_TRPL, trpl)
             .section(TAG_BNAM, global.bnam);
-        w.finish_versioned(&mut self.out, layout.version(), KIND_GRAPH, counts)?;
+        w.finish(&mut self.out, KIND_GRAPH, counts)?;
         self.out.flush()?;
         Ok(self.out)
+    }
+
+    /// [`StoreWriter::write_graph`], kept only for the `perfbench`
+    /// helper crate, which calls it with `Layout::default()` (the one
+    /// layout there is).
+    pub fn write_graph_layout(
+        self,
+        vocab: &Vocab,
+        graph: &RdfGraph,
+        _layout: Layout,
+    ) -> Result<W, StoreError> {
+        self.write_graph(vocab, graph)
     }
 }
 
@@ -414,17 +277,6 @@ pub struct StoreReader {
 pub struct StoreInfo {
     /// Parsed fixed header.
     pub header: Header,
-    /// Section body layout the header version selects.
-    pub layout: Layout,
-    /// The [`LoadMode`] a borrowed view of this container would use for
-    /// its id columns: `decode` for varint stores, `borrow`/`widen` for
-    /// fixed stores depending on the `TRPL` column width (meaningful
-    /// for graph-bearing kinds only).
-    pub mode: LoadMode,
-    /// Byte width of the fixed `TRPL` columns (`None` for varint
-    /// stores or non-graph kinds). Lets callers render `widen
-    /// (width N)` instead of a bare `widen`.
-    pub trpl_width: Option<u8>,
     /// Total file size in bytes.
     pub file_bytes: usize,
     /// `(tag, payload bytes)` per section, in file order. Present only
@@ -449,29 +301,8 @@ impl StoreReader {
     /// summarise it. Works for any content kind.
     pub fn info(&self) -> Result<StoreInfo, StoreError> {
         let c = Container::parse(&self.bytes)?;
-        let layout = c.header().layout();
-        let (mode, trpl_width) = match layout {
-            Layout::Varint => (LoadMode::Decode, None),
-            Layout::Fixed => {
-                let width = c.section(TAG_TRPL).ok().and_then(|b| {
-                    parse_fixed_body(b, 3, None, "fixed TRPL section")
-                        .ok()
-                        .map(|fb| fb.width)
-                });
-                let mode = match width {
-                    Some(4) if cfg!(target_endian = "little") => {
-                        LoadMode::Borrow
-                    }
-                    _ => LoadMode::Widen,
-                };
-                (mode, width)
-            }
-        };
         Ok(StoreInfo {
             header: *c.header(),
-            layout,
-            mode,
-            trpl_width,
             file_bytes: self.bytes.len(),
             sections: c
                 .sections()
@@ -509,8 +340,6 @@ impl StoreReader {
         let mut open = rec.span("store.open");
         open.field("bytes", self.bytes.len());
         let c = Container::parse(&self.bytes)?;
-        let layout = c.header().layout();
-        open.field("layout", layout.to_string());
         drop(open);
         let header = *c.header();
         if header.kind != KIND_GRAPH {
@@ -522,76 +351,57 @@ impl StoreReader {
 
         let dict_body = c.section(TAG_DICT)?;
         let vocab = {
-            let _sp = section_span(rec, "DICT", dict_body.len(), layout);
-            decode_dict_checked(dict_body, Some(header.counts[0]), layout)?
+            let _sp = section_span(rec, "DICT", dict_body.len());
+            decode_dict_checked(dict_body, Some(header.counts[0]))?
         };
         let node_body = c.section(TAG_NODE)?;
         let (labels, node_kinds) = {
-            let _sp = section_span(rec, "NODE", node_body.len(), layout);
-            decode_node(node_body, &vocab, Some(header.counts[1]), layout)?
+            let _sp = section_span(rec, "NODE", node_body.len());
+            decode_node(node_body, &vocab, Some(header.counts[1]))?
         };
         let node_count = labels.len();
         let trpl_body = c.section(TAG_TRPL)?;
         let triples = {
-            let _sp = section_span(rec, "TRPL", trpl_body.len(), layout);
-            decode_trpl(trpl_body, Some(header.counts[2]), layout)?
+            let _sp = section_span(rec, "TRPL", trpl_body.len());
+            crate::fixed::decode_trpl(trpl_body, Some(header.counts[2]))?
         };
-        let triple_count = triples.len();
+        // Strictly ascending (checked by the decoder), so duplicate-free.
         let graph = TripleGraph::from_raw_parts(labels, node_kinds, triples)
             .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        if graph.triple_count() != triple_count {
-            return Err(StoreError::Corrupt(
-                "duplicate triples in store".into(),
-            ));
-        }
         let bnam_body = c.section(TAG_BNAM)?;
         let blank_names = {
-            let _sp = section_span(rec, "BNAM", bnam_body.len(), layout);
-            decode_bnam(bnam_body, node_count, layout)?
+            let _sp = section_span(rec, "BNAM", bnam_body.len());
+            decode_bnam(bnam_body, node_count)?
         };
         Ok((vocab, RdfGraph::from_raw_parts(graph, blank_names)))
     }
 }
 
-/// A `store.section` span tagged with the section name, body size and
-/// container layout. Shared by the single-file and manifest traced
-/// loads.
+/// A `store.section` span tagged with the section name and body size.
+/// Shared by the single-file, borrowed and manifest traced loads.
 pub(crate) fn section_span<'a>(
     rec: &'a Recorder,
     section: &'static str,
     bytes: usize,
-    layout: Layout,
 ) -> SpanGuard<'a> {
     let mut sp = rec.span("store.section");
     sp.field("section", section);
     sp.field("bytes", bytes);
-    sp.field("layout", layout.to_string());
     sp
 }
 
-pub(crate) fn overflow() -> StoreError {
+fn overflow() -> StoreError {
     StoreError::Corrupt("id delta overflows u32".into())
 }
 
-/// Save a graph to a `.rdfb` file (varint layout).
+/// Save a graph to a `.rdfb` file.
 pub fn save_graph(
     path: impl AsRef<Path>,
     vocab: &Vocab,
     graph: &RdfGraph,
 ) -> Result<(), StoreError> {
-    save_graph_layout(path, vocab, graph, Layout::Varint)
-}
-
-/// Save a graph to a `.rdfb` file in an explicit section layout.
-pub fn save_graph_layout(
-    path: impl AsRef<Path>,
-    vocab: &Vocab,
-    graph: &RdfGraph,
-    layout: Layout,
-) -> Result<(), StoreError> {
     let file = std::fs::File::create(path)?;
-    StoreWriter::new(std::io::BufWriter::new(file))
-        .write_graph_layout(vocab, graph, layout)?;
+    StoreWriter::new(std::io::BufWriter::new(file)).write_graph(vocab, graph)?;
     Ok(())
 }
 
@@ -602,20 +412,10 @@ pub fn load_graph(
     StoreReader::open(path)?.read_graph()
 }
 
-/// Serialise a graph container into a byte vector (varint layout).
+/// Serialise a graph container into a byte vector.
 pub fn graph_to_bytes(
     vocab: &Vocab,
     graph: &RdfGraph,
 ) -> Result<Vec<u8>, StoreError> {
     StoreWriter::new(Vec::new()).write_graph(vocab, graph)
-}
-
-/// Serialise a graph container into a byte vector in an explicit
-/// section layout.
-pub fn graph_to_bytes_layout(
-    vocab: &Vocab,
-    graph: &RdfGraph,
-    layout: Layout,
-) -> Result<Vec<u8>, StoreError> {
-    StoreWriter::new(Vec::new()).write_graph_layout(vocab, graph, layout)
 }

@@ -2,7 +2,6 @@
 //! [`BufRead`] without ever materialising the input document as one
 //! `String` (the parser holds one line at a time).
 
-use crate::container::Layout;
 use crate::error::StoreError;
 use crate::graph_store::StoreWriter;
 use rdf_model::{RdfGraph, Vocab};
@@ -56,18 +55,8 @@ pub fn import_ntriples<R: BufRead, W: Write>(
     reader: R,
     out: W,
 ) -> Result<(Vocab, RdfGraph), ImportError> {
-    import_ntriples_layout(reader, out, Layout::default())
-}
-
-/// [`import_ntriples`] with an explicit section [`Layout`] for the
-/// written container (`Layout::Varint` reproduces the default bytes).
-pub fn import_ntriples_layout<R: BufRead, W: Write>(
-    reader: R,
-    out: W,
-    layout: Layout,
-) -> Result<(Vocab, RdfGraph), ImportError> {
     let mut vocab = Vocab::new();
     let graph = rdf_io::parse_graph_reader(reader, &mut vocab)?;
-    StoreWriter::new(out).write_graph_layout(&vocab, &graph, layout)?;
+    StoreWriter::new(out).write_graph(&vocab, &graph)?;
     Ok((vocab, graph))
 }

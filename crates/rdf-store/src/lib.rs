@@ -4,9 +4,10 @@
 //! crate, were re-tokenised on every run. Following the I/O-efficient
 //! bisimulation literature (Luo et al., Hellings et al.), the enabling
 //! step for big-graph work is a compact binary representation that loads
-//! without re-parsing: a deduplicated label dictionary plus the CSR
-//! triple arrays, varint-delta encoded, each section protected by a
-//! CRC-32 so corruption fails loudly.
+//! without re-parsing: a deduplicated label dictionary plus the sorted
+//! triple list as fixed-width columns (served zero-copy from a mapped
+//! file by [`BorrowedStoreReader`]), each section protected by a CRC-32
+//! so corruption fails loudly.
 //!
 //! * [`StoreWriter`] / [`save_graph`] — serialise a graph + vocabulary;
 //! * [`StoreReader`] / [`load_graph`] — reconstruct them with **zero
@@ -23,8 +24,8 @@
 //!   `rdf-archive` for persistent archives.
 //!
 //! The byte-level layout of every container kind — header, section
-//! framing, `DICT`/`NODE`/`TRPL`/`BNAM`/`SHRD` bodies, varint and CRC
-//! rules, and the `shard_of` subject hash — is specified normatively
+//! framing, `DICT`/`NODE`/`TRPL`/`BNAM`/`SHRD` bodies, padding, varint
+//! and CRC rules, and the `shard_of` subject hash — is specified normatively
 //! in **`docs/FORMAT.md`** at the repository root; module comments
 //! here only summarise it.
 //!
@@ -59,21 +60,21 @@ pub mod mmap;
 pub mod sharded;
 pub mod varint;
 
-pub use borrowed::{BorrowedStoreReader, LoadMode};
+pub use borrowed::BorrowedStoreReader;
 pub use container::{
-    Container, ContainerWriter, Header, Layout, FORMAT_VERSION,
-    FORMAT_VERSION_FIXED, KIND_ARCHIVE, KIND_GRAPH, KIND_MANIFEST,
-    KIND_SHARD, MAGIC, MAX_FORMAT_VERSION,
+    version_for, Container, ContainerWriter, Header, Layout,
+    ARCHIVE_VERSION, FORMAT_VERSION, KIND_ARCHIVE, KIND_GRAPH,
+    KIND_MANIFEST, KIND_SHARD, MAGIC,
 };
 pub use error::StoreError;
 pub use graph_store::{
-    graph_to_bytes, graph_to_bytes_layout, load_graph, save_graph,
-    save_graph_layout, StoreInfo, StoreReader, StoreWriter,
+    graph_to_bytes, load_graph, save_graph, StoreInfo, StoreReader,
+    StoreWriter,
 };
-pub use import::{import_ntriples, import_ntriples_layout, ImportError};
+pub use import::{import_ntriples, ImportError};
 pub use mmap::StoreBuf;
 pub use sharded::{
-    open_any, save_sharded, save_sharded_layout, shard_of, AnyReader,
-    Manifest, ShardEntry, ShardedInfo, ShardedReader, ShardedWriter,
-    StreamingStore, DEFAULT_SHARD_SEED, TAG_SHRD,
+    open_any, save_sharded, shard_of, AnyReader, Manifest, ShardEntry,
+    ShardedInfo, ShardedReader, ShardedWriter, StreamingStore,
+    DEFAULT_SHARD_SEED, TAG_SHRD,
 };

@@ -11,7 +11,7 @@
 //!
 //! Either way the buffer base is at least 8-aligned (pages are
 //! page-aligned; the owned fallback stores `u64` words), which is what
-//! lets layout-v2 readers serve 4-byte-wide columns as `&[u32]` slices
+//! lets readers serve the 4-byte-wide id columns as `&[u32]` slices
 //! straight from the buffer.
 
 use crate::error::StoreError;

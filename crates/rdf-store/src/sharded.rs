@@ -27,15 +27,14 @@
 //! hash is specified normatively in `docs/FORMAT.md` §5.
 
 use crate::checksum::crc32;
-use crate::container::{
-    Container, ContainerWriter, Layout, KIND_MANIFEST, KIND_SHARD,
-};
+use crate::container::{Container, ContainerWriter, KIND_MANIFEST, KIND_SHARD};
 use crate::error::StoreError;
-use crate::fixed::{check_pad8, decode_trpl_fixed_cols, pad8};
+use crate::fixed::{
+    check_pad8, decode_trpl, decode_trpl_cols, encode_trpl_into, pad8,
+};
 use crate::graph_store::{
-    decode_bnam, decode_dict_checked, decode_node, decode_trpl,
-    encode_global_sections, encode_trpl_into, section_span, StoreReader,
-    TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
+    decode_bnam, decode_dict_checked, decode_node, encode_global_sections,
+    section_span, StoreReader, TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
 };
 use crate::varint::{read_varint, read_varint_u32, write_varint};
 use rdf_model::{
@@ -99,31 +98,20 @@ pub struct Manifest {
 pub struct ShardedWriter {
     shards: usize,
     seed: u64,
-    layout: Layout,
 }
 
 impl ShardedWriter {
-    /// A writer splitting into `shards` files with the default seed and
-    /// the default (varint) section layout.
+    /// A writer splitting into `shards` files with the default seed.
     pub fn new(shards: usize) -> Self {
         ShardedWriter {
             shards,
             seed: DEFAULT_SHARD_SEED,
-            layout: Layout::Varint,
         }
     }
 
     /// Override the subject-hash seed (recorded in the manifest).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Choose the section layout for the manifest and every shard file
-    /// (readers resolve layout per file from each header, so the
-    /// writer's uniform choice is a convention, not a format rule).
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -166,16 +154,12 @@ impl ShardedWriter {
         let mut bytes = Vec::new();
         for (k, bucket) in buckets.iter().enumerate() {
             let name = format!("{stem}-shard-{k}.rdfb");
-            encode_trpl_into(&mut scratch, bucket, self.layout);
+            encode_trpl_into(&mut scratch, bucket);
             bytes.clear();
             let mut w = ContainerWriter::new();
             w.section(TAG_TRPL, scratch.as_slice());
-            w.finish_versioned(
-                &mut bytes,
-                self.layout.version(),
-                KIND_SHARD,
-                [k as u64, 0, bucket.len() as u64],
-            )?;
+            let counts = [k as u64, 0, bucket.len() as u64];
+            w.finish(&mut bytes, KIND_SHARD, counts)?;
             let crc = crc32(&bytes);
             let path = dir.join(&name);
             std::fs::write(&path, &bytes)?;
@@ -187,7 +171,7 @@ impl ShardedWriter {
             });
         }
 
-        let global = encode_global_sections(vocab, graph, self.layout)?;
+        let global = encode_global_sections(vocab, graph)?;
         let mut shrd = Vec::new();
         write_varint(&mut shrd, self.seed);
         write_varint(&mut shrd, entries.len() as u64);
@@ -197,9 +181,7 @@ impl ShardedWriter {
             write_varint(&mut shrd, e.triples);
             write_varint(&mut shrd, u64::from(e.crc));
         }
-        if self.layout == Layout::Fixed {
-            pad8(&mut shrd);
-        }
+        pad8(&mut shrd);
 
         let mut bytes = Vec::new();
         let mut w = ContainerWriter::new();
@@ -207,9 +189,8 @@ impl ShardedWriter {
             .section(TAG_DICT, global.dict)
             .section(TAG_NODE, global.node)
             .section(TAG_BNAM, global.bnam);
-        w.finish_versioned(
+        w.finish(
             &mut bytes,
-            self.layout.version(),
             KIND_MANIFEST,
             [
                 self.shards as u64,
@@ -223,8 +204,7 @@ impl ShardedWriter {
     }
 }
 
-/// Save a graph as `<path>` (manifest) + `shards` shard files in the
-/// default varint layout.
+/// Save a graph as `<path>` (manifest) + `shards` shard files.
 pub fn save_sharded(
     path: impl AsRef<Path>,
     vocab: &Vocab,
@@ -232,20 +212,6 @@ pub fn save_sharded(
     shards: usize,
 ) -> Result<Vec<PathBuf>, StoreError> {
     ShardedWriter::new(shards).write(path, vocab, graph)
-}
-
-/// Save a graph as `<path>` (manifest) + `shards` shard files in an
-/// explicit section layout.
-pub fn save_sharded_layout(
-    path: impl AsRef<Path>,
-    vocab: &Vocab,
-    graph: &RdfGraph,
-    shards: usize,
-    layout: Layout,
-) -> Result<Vec<PathBuf>, StoreError> {
-    ShardedWriter::new(shards)
-        .with_layout(layout)
-        .write(path, vocab, graph)
 }
 
 /// Summary of a sharded store, as shown by `rdf info`: the manifest
@@ -398,21 +364,19 @@ impl ShardedReader {
         let mut open = rec.span("store.open");
         open.field("bytes", self.bytes.len());
         let c = Container::parse(&self.bytes)?;
-        let layout = c.header().layout();
-        open.field("layout", layout.to_string());
         drop(open);
         let version = c.header().version;
         let manifest = parse_manifest(&c)?;
 
         let dict_body = c.section(TAG_DICT)?;
         let vocab = {
-            let _sp = section_span(rec, "DICT", dict_body.len(), layout);
-            decode_dict_checked(dict_body, None, layout)?
+            let _sp = section_span(rec, "DICT", dict_body.len());
+            decode_dict_checked(dict_body, None)?
         };
         let node_body = c.section(TAG_NODE)?;
         let (labels, kinds) = {
-            let _sp = section_span(rec, "NODE", node_body.len(), layout);
-            decode_node(node_body, &vocab, Some(manifest.nodes), layout)?
+            let _sp = section_span(rec, "NODE", node_body.len());
+            decode_node(node_body, &vocab, Some(manifest.nodes))?
         };
         let node_count = labels.len();
 
@@ -452,8 +416,8 @@ impl ShardedReader {
         }
         let bnam_body = c.section(TAG_BNAM)?;
         let blank_names = {
-            let _sp = section_span(rec, "BNAM", bnam_body.len(), layout);
-            decode_bnam(bnam_body, node_count, layout)?
+            let _sp = section_span(rec, "BNAM", bnam_body.len());
+            decode_bnam(bnam_body, node_count)?
         };
         let info = ShardedInfo {
             version,
@@ -503,16 +467,10 @@ impl ShardedReader {
     ) -> Result<(StreamingStore, ShardedInfo), StoreError> {
         let c = Container::parse(&self.bytes)?;
         let version = c.header().version;
-        let layout = c.header().layout();
         let manifest = parse_manifest(&c)?;
-        let vocab =
-            decode_dict_checked(c.section(TAG_DICT)?, None, layout)?;
-        let (labels, kinds) = decode_node(
-            c.section(TAG_NODE)?,
-            &vocab,
-            Some(manifest.nodes),
-            layout,
-        )?;
+        let vocab = decode_dict_checked(c.section(TAG_DICT)?, None)?;
+        let (labels, kinds) =
+            decode_node(c.section(TAG_NODE)?, &vocab, Some(manifest.nodes))?;
         // The one-time validation pass: whole-file CRC against the
         // manifest, then the shard's own framing, kind, index and
         // section checksums. load_shard trusts these from here on.
@@ -701,10 +659,9 @@ impl ShardColumnsSource for StreamingStore {
     }
 }
 
-/// Decode one validated shard file straight into [`ShardColumns`]. The
-/// fixed layout feeds its widened columns through
-/// [`ShardColumns::from_sorted_iter`] — no intermediate `Vec<Triple>`
-/// and no varint work on the streaming hot path.
+/// Decode one validated shard file straight into [`ShardColumns`]:
+/// the `TRPL` columns feed [`ShardColumns::from_sorted_iter`] with no
+/// intermediate `Vec<Triple>` on the streaming hot path.
 fn decode_shard_columns(
     bytes: &[u8],
     index: usize,
@@ -712,23 +669,11 @@ fn decode_shard_columns(
 ) -> Result<ShardColumns, StoreError> {
     // Trusted parse: the streaming open already checksummed this file;
     // the per-round re-parse validates framing and counts only.
-    let (body, layout) = shard_trpl_body_with(bytes, index, entry, true)?;
-    Ok(match layout {
-        Layout::Varint => ShardColumns::from_sorted_triples(&decode_trpl(
-            body,
-            Some(entry.triples),
-            layout,
-        )?),
-        Layout::Fixed => {
-            let [s, p, o] =
-                decode_trpl_fixed_cols(body, Some(entry.triples))?;
-            ShardColumns::from_sorted_iter(
-                s.iter().zip(&p).zip(&o).map(|((&s, &p), &o)| {
-                    Triple::new(NodeId(s), NodeId(p), NodeId(o))
-                }),
-            )
-        }
-    })
+    let body = shard_trpl_body_with(bytes, index, entry, true)?;
+    let [s, p, o] = decode_trpl_cols(body, Some(entry.triples))?;
+    Ok(ShardColumns::from_sorted_iter(s.iter().zip(&p).zip(&o).map(
+        |((&s, &p), &o)| Triple::new(NodeId(s), NodeId(p), NodeId(o)),
+    )))
 }
 
 /// Parse the `SHRD` directory out of a validated manifest container and
@@ -787,18 +732,8 @@ fn parse_manifest(c: &Container<'_>) -> Result<Manifest, StoreError> {
         })?;
         shards.push(ShardEntry { name, triples, crc });
     }
-    match header.layout() {
-        // Layout v2 pads every payload to 8; the tail must be zeros.
-        Layout::Fixed => check_pad8(shrd, pos, "SHRD section")?,
-        Layout::Varint => {
-            if pos != shrd.len() {
-                return Err(StoreError::Corrupt(format!(
-                    "{} trailing bytes after shard directory",
-                    shrd.len() - pos
-                )));
-            }
-        }
-    }
+    // Every payload is padded to 8; the tail must be zeros.
+    check_pad8(shrd, pos, "SHRD section")?;
     if total != header.counts[2] {
         return Err(StoreError::Corrupt(format!(
             "shard directory totals {total} triples but header records {}",
@@ -876,18 +811,17 @@ fn decode_shard_inner(
     index: usize,
     entry: &ShardEntry,
 ) -> Result<Vec<Triple>, StoreError> {
-    let (body, layout) = shard_trpl_body(bytes, index, entry)?;
-    decode_trpl(body, Some(entry.triples), layout)
+    let body = shard_trpl_body(bytes, index, entry)?;
+    decode_trpl(body, Some(entry.triples))
 }
 
 /// Validate a shard container's framing, kind and index, and return
-/// its `TRPL` body plus the layout *this shard file* declares (each
-/// shard self-describes; a store may in principle mix layouts).
+/// its `TRPL` body.
 fn shard_trpl_body<'a>(
     bytes: &'a [u8],
     index: usize,
     entry: &ShardEntry,
-) -> Result<(&'a [u8], Layout), StoreError> {
+) -> Result<&'a [u8], StoreError> {
     shard_trpl_body_with(bytes, index, entry, false)
 }
 
@@ -899,7 +833,7 @@ fn shard_trpl_body_with<'a>(
     index: usize,
     entry: &ShardEntry,
     trusted: bool,
-) -> Result<(&'a [u8], Layout), StoreError> {
+) -> Result<&'a [u8], StoreError> {
     let c = if trusted {
         Container::parse_trusted(bytes)?
     } else {
@@ -918,7 +852,7 @@ fn shard_trpl_body_with<'a>(
             entry.name, header.counts[0]
         )));
     }
-    Ok((c.section(TAG_TRPL)?, header.layout()))
+    c.section(TAG_TRPL)
 }
 
 /// Either kind of on-disk graph store, resolved by content kind — the
@@ -934,8 +868,8 @@ pub enum AnyReader {
 }
 
 impl AnyReader {
-    /// Decode the graph, whichever layout holds it. `threads` drives
-    /// the parallel shard load and is ignored for single files.
+    /// Decode the graph from either kind of store. `threads` drives the
+    /// parallel shard load and is ignored for single files.
     pub fn read_graph(
         &self,
         threads: Threads,
@@ -947,7 +881,7 @@ impl AnyReader {
     }
 
     /// [`AnyReader::read_graph`] with instrumentation — dispatches to
-    /// the layout's traced load, so the trace carries `store.open`,
+    /// the store kind's traced load, so the trace carries `store.open`,
     /// `store.section` and (for sharded stores) `shard.load` spans.
     pub fn read_graph_traced(
         &self,
@@ -963,11 +897,13 @@ impl AnyReader {
     }
 }
 
-/// Open a store path of either layout: the file's container header is
+/// Open a store path of either kind: the file's container header is
 /// sniffed, and a [`KIND_MANIFEST`] kind yields a sharded reader (shard
 /// paths resolving next to the manifest) while anything else yields a
 /// single-file reader. A nonexistent path is a typed I/O error; a
-/// non-container file is [`StoreError::BadMagic`].
+/// non-container file is [`StoreError::BadMagic`]; a container of
+/// another format version (say, a version-1 graph store) is
+/// [`StoreError::UnsupportedVersion`].
 pub fn open_any(path: impl AsRef<Path>) -> Result<AnyReader, StoreError> {
     let path = path.as_ref();
     let bytes = std::fs::read(path)?;

@@ -1,12 +1,26 @@
 //! Property suite for the `.rdfb` store: `load(save(g)) == g`
 //! term-for-term for random graphs (blank nodes, escaped / lang-tagged /
 //! datatyped literals), byte-identical reconstruction of freshly parsed
-//! graphs, and typed — never panicking — failures on corrupt containers.
+//! graphs, a borrowed (zero-copy) view equal to the owned load, and
+//! typed — never panicking — failures on corrupt containers, on
+//! version-1 stores and on any column width but 4.
+//!
+//! The borrowed-reader *lifetime* contract (a view cannot outlive its
+//! buffer) is enforced at compile time by the `compile_fail` doctest on
+//! [`rdf_store::BorrowedStoreReader`].
 
 use proptest::prelude::*;
 use rdf_io::{parse_graph, write_graph};
 use rdf_model::{LabelRef, NodeId, RdfGraph, Term, Vocab};
-use rdf_store::{graph_to_bytes, StoreError, StoreReader};
+use rdf_par::Threads;
+use rdf_store::{
+    checksum::crc32,
+    container::{HEADER_LEN, SECTION_OVERHEAD},
+    graph_to_bytes, open_any,
+    varint::write_varint,
+    BorrowedStoreReader, Container, ContainerWriter, StoreBuf, StoreError,
+    StoreReader, FORMAT_VERSION, KIND_GRAPH,
+};
 
 /// Awkward characters exercising literal and IRI escaping.
 const TRICKY: &[&str] = &[
@@ -141,6 +155,42 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// A saved graph is a graph-kind container stamped with the one
+    /// graph-store version, and every section payload is padded to a
+    /// multiple of 8 bytes so column reads stay aligned.
+    #[test]
+    fn save_stamps_the_graph_version((vocab, g) in arb_rdf_graph()) {
+        let bytes = graph_to_bytes(&vocab, &g).unwrap();
+        prop_assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FORMAT_VERSION);
+        let c = Container::parse(&bytes).unwrap();
+        prop_assert_eq!(c.header().version, FORMAT_VERSION);
+        prop_assert_eq!(c.header().kind, KIND_GRAPH);
+        for (tag, payload) in c.sections() {
+            prop_assert!(
+                payload.len() % 8 == 0,
+                "section {:?} is not 8-padded",
+                std::str::from_utf8(tag)
+            );
+        }
+    }
+
+    /// The borrowed view over the store bytes equals the owned load:
+    /// same labels, kinds, triples and dictionary size.
+    #[test]
+    fn borrowed_view_matches_owned_load((vocab, g) in arb_rdf_graph()) {
+        let bytes = graph_to_bytes(&vocab, &g).unwrap();
+        let (ov, owned) =
+            StoreReader::from_bytes(bytes.clone()).read_graph().unwrap();
+        let reader =
+            BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
+        let (bv, view) = reader.read_view().unwrap();
+        prop_assert!(view.columns_borrowed());
+        prop_assert_eq!(view.labels(), owned.graph().labels_raw());
+        prop_assert_eq!(view.kinds(), owned.graph().kinds_raw());
+        prop_assert_eq!(view.to_graph().triples(), owned.graph().triples());
+        prop_assert_eq!(bv.len(), ov.len());
+    }
+
     /// Every prefix-truncation of a valid container fails with a typed
     /// error — no panic, no silent partial graph.
     #[test]
@@ -151,6 +201,30 @@ proptest! {
         for cut in (0..bytes.len()).step_by(7) {
             let r = StoreReader::from_bytes(bytes[..cut].to_vec());
             prop_assert!(r.read_graph().is_err(), "cut at {} must fail", cut);
+        }
+    }
+
+    /// Every cut landing inside the `NODE` or `TRPL` columns — mid-record
+    /// included — fails with a typed error from both the owned and the
+    /// borrowed reader.
+    #[test]
+    fn column_truncations_fail_loudly((vocab, g) in arb_rdf_graph()) {
+        let bytes = graph_to_bytes(&vocab, &g).unwrap();
+        for tag in [b"NODE", b"TRPL"] {
+            let (off, len) = section_payload(&bytes, tag);
+            for cut in off..off + len {
+                let owned = StoreReader::from_bytes(bytes[..cut].to_vec())
+                    .read_graph();
+                prop_assert!(owned.is_err(), "owned cut at {} must fail", cut);
+                let reader = BorrowedStoreReader::from_buf(
+                    StoreBuf::from_bytes(&bytes[..cut]),
+                );
+                prop_assert!(
+                    reader.read_view().is_err(),
+                    "borrowed cut at {} must fail",
+                    cut
+                );
+            }
         }
     }
 
@@ -212,7 +286,7 @@ fn future_version_is_typed() {
     bytes[5] = 0;
     match StoreReader::from_bytes(bytes).read_graph() {
         Err(StoreError::UnsupportedVersion { found: 3, supported }) => {
-            assert_eq!(supported, rdf_store::MAX_FORMAT_VERSION)
+            assert_eq!(supported, FORMAT_VERSION)
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
@@ -220,17 +294,15 @@ fn future_version_is_typed() {
 
 #[test]
 fn version_flag_is_the_layout_authority() {
-    // Stamping the fixed-layout version onto varint bytes must fail with
-    // a typed fixed-parse error, never silently decode as varint: readers
-    // resolve layout from the header flag alone.
+    // Stamping version 1 onto fixed-width bytes must fail on the header
+    // alone: readers accept exactly one version per content kind and
+    // never try to guess a body layout.
     let (_, _, mut bytes) = sample_store();
-    bytes[4] = rdf_store::FORMAT_VERSION_FIXED as u8;
+    bytes[4] = 1;
     bytes[5] = 0;
     match StoreReader::from_bytes(bytes).read_graph() {
-        Err(
-            StoreError::Truncated { .. } | StoreError::Corrupt(_),
-        ) => {}
-        other => panic!("expected typed fixed-parse error, got {other:?}"),
+        Err(StoreError::UnsupportedVersion { found: 1, supported: 2 }) => {}
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
@@ -238,7 +310,7 @@ fn version_flag_is_the_layout_authority() {
 fn flipped_checksum_byte_is_typed() {
     let (_, _, mut bytes) = sample_store();
     // First section's stored checksum sits at header + tag + len.
-    let crc_at = rdf_store::container::HEADER_LEN + 4 + 8;
+    let crc_at = HEADER_LEN + 4 + 8;
     bytes[crc_at] ^= 0xff;
     match StoreReader::from_bytes(bytes).read_graph() {
         Err(StoreError::ChecksumMismatch { section, .. }) => {
@@ -249,10 +321,23 @@ fn flipped_checksum_byte_is_typed() {
 }
 
 #[test]
+fn flipped_trpl_checksum_is_typed() {
+    let (_, _, mut bytes) = sample_store();
+    let (off, _) = section_payload(&bytes, b"TRPL");
+    // Stored checksum sits in the 4 bytes before the payload.
+    bytes[off - 4] ^= 0xff;
+    match StoreReader::from_bytes(bytes).read_graph() {
+        Err(StoreError::ChecksumMismatch { section, .. }) => {
+            assert_eq!(&section, b"TRPL")
+        }
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
+}
+
+#[test]
 fn flipped_payload_byte_is_typed() {
     let (_, _, mut bytes) = sample_store();
-    let payload_at = rdf_store::container::HEADER_LEN
-        + rdf_store::container::SECTION_OVERHEAD
+    let payload_at = HEADER_LEN + SECTION_OVERHEAD
         + 3;
     bytes[payload_at] ^= 0x55;
     match StoreReader::from_bytes(bytes).read_graph() {
@@ -273,9 +358,11 @@ fn truncated_header_is_typed() {
 #[test]
 fn archive_kind_rejected_by_graph_loader() {
     let (_, _, mut bytes) = sample_store();
-    // Patch the content-kind byte to ARCHIVE and fix nothing else; the
-    // kind check fires before any section is interpreted.
+    // Patch the content-kind byte to ARCHIVE (and the version to the
+    // archive's, which the header check demands) and fix nothing else;
+    // the kind check fires before any section is interpreted.
     bytes[6] = rdf_store::KIND_ARCHIVE;
+    bytes[4..6].copy_from_slice(&rdf_store::ARCHIVE_VERSION.to_le_bytes());
     match StoreReader::from_bytes(bytes).read_graph() {
         Err(StoreError::WrongContentKind { found, expected }) => {
             assert_eq!(found, rdf_store::KIND_ARCHIVE);
@@ -307,4 +394,232 @@ fn info_reports_header_and_sections() {
     let tags: Vec<&str> =
         info.sections.iter().map(|(t, _)| t.as_str()).collect();
     assert_eq!(tags, ["DICT", "NODE", "TRPL", "BNAM"]);
+}
+
+/// Walk the section frames of a container, returning the payload offset
+/// and length of the section with `tag`.
+fn section_payload(bytes: &[u8], tag: &[u8; 4]) -> (usize, usize) {
+    let mut pos = HEADER_LEN;
+    while pos + SECTION_OVERHEAD <= bytes.len() {
+        let found: [u8; 4] = bytes[pos..pos + 4].try_into().unwrap();
+        let len = u64::from_le_bytes(
+            bytes[pos + 4..pos + 12].try_into().unwrap(),
+        ) as usize;
+        if &found == tag {
+            return (pos + SECTION_OVERHEAD, len);
+        }
+        pos += SECTION_OVERHEAD + len;
+    }
+    panic!("section {:?} not found", std::str::from_utf8(tag));
+}
+
+/// Recompute a section's stored CRC after tampering with its payload so
+/// the corruption reaches the body decoder instead of the checksum.
+fn fix_crc(bytes: &mut [u8], tag: &[u8; 4]) {
+    let (off, len) = section_payload(bytes, tag);
+    let crc = crc32(&bytes[off..off + len]);
+    bytes[off - 4..off].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn bad_width_byte_is_typed() {
+    let (_, _, mut bytes) = sample_store();
+    // The width byte sits after the 8-byte count in the TRPL preamble.
+    let (off, _) = section_payload(&bytes, b"TRPL");
+    bytes[off + 8] = 3;
+    fix_crc(&mut bytes, b"TRPL");
+    match StoreReader::from_bytes(bytes).read_graph() {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("unsupported column width 3"), "got: {msg}")
+        }
+        other => panic!("expected Corrupt(width), got {other:?}"),
+    }
+}
+
+#[test]
+fn nonzero_padding_is_typed() {
+    let (_, _, mut bytes) = sample_store();
+    // The sample graph has an odd node count, so the 4-byte NODE column
+    // ends 4 bytes short of the 8-byte boundary: its tail is zero
+    // padding. Poisoning it must be detected.
+    let (off, len) = section_payload(&bytes, b"NODE");
+    bytes[off + len - 1] = 0xAA;
+    fix_crc(&mut bytes, b"NODE");
+    match StoreReader::from_bytes(bytes).read_graph() {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("padding"), "got: {msg}")
+        }
+        other => panic!("expected Corrupt(padding), got {other:?}"),
+    }
+}
+
+/// Re-frame a container with `edit` applied to each section payload
+/// (the writer recomputes every CRC).
+fn reframe(bytes: &[u8], edit: impl Fn(&[u8; 4], &mut Vec<u8>)) -> Vec<u8> {
+    let c = Container::parse(bytes).unwrap();
+    let header = *c.header();
+    let mut w = ContainerWriter::new();
+    for (tag, payload) in c.sections() {
+        let mut p = payload.to_vec();
+        edit(tag, &mut p);
+        w.section(*tag, p);
+    }
+    let mut out = Vec::new();
+    w.finish(&mut out, header.kind, header.counts).unwrap();
+    out
+}
+
+#[test]
+fn misaligned_payload_is_typed() {
+    // One extra byte appended to the TRPL payload: its length is no
+    // longer a multiple of 8, so the decoder must reject the body as
+    // trailing garbage (after the recomputed CRC passes).
+    let (_, _, bytes) = sample_store();
+    let out = reframe(&bytes, |tag, p| {
+        if tag == b"TRPL" {
+            p.push(0);
+        }
+    });
+    match StoreReader::from_bytes(out).read_graph() {
+        Err(StoreError::Corrupt(_) | StoreError::Truncated { .. }) => {}
+        other => panic!("expected typed misalignment error, got {other:?}"),
+    }
+}
+
+#[test]
+fn count_mismatch_is_typed() {
+    let (_, _, mut bytes) = sample_store();
+    // Lower the header triple count: the TRPL preamble count no longer
+    // matches what the header claims.
+    let triples = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+    bytes[24..32].copy_from_slice(&(triples - 1).to_le_bytes());
+    match StoreReader::from_bytes(bytes).read_graph() {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("disagrees with header"), "got: {msg}")
+        }
+        other => panic!("expected Corrupt(count mismatch), got {other:?}"),
+    }
+}
+
+/// A version-1 graph store as earlier releases wrote it, built by hand:
+/// varint `NODE`/`TRPL` bodies, no padding, version 1 in the header.
+/// The graph is one triple `<u:s> <u:p> "o"`.
+fn v1_store() -> Vec<u8> {
+    let mut dict = Vec::new();
+    write_varint(&mut dict, 4);
+    for (kind, text) in [(1u8, "u:s"), (1, "u:p"), (2, "o")] {
+        dict.push(kind);
+        write_varint(&mut dict, text.len() as u64);
+        dict.extend_from_slice(text.as_bytes());
+    }
+    let mut node = Vec::new();
+    for v in [3, 1, 2, 3] {
+        write_varint(&mut node, v); // node count, then one label per node
+    }
+    let mut trpl = Vec::new();
+    for v in [1, 0, 1, 2] {
+        write_varint(&mut trpl, v); // triple count, then (ds, dp, do)
+    }
+    let mut w = ContainerWriter::new();
+    w.section(*b"DICT", dict)
+        .section(*b"NODE", node)
+        .section(*b"TRPL", trpl)
+        .section(*b"BNAM", vec![0]);
+    let mut out = Vec::new();
+    w.finish(&mut out, KIND_GRAPH, [4, 3, 1]).unwrap();
+    // The header is not checksummed: stamp the old version over it.
+    out[4..6].copy_from_slice(&1u16.to_le_bytes());
+    out
+}
+
+/// The sample store with its `NODE` column rewritten at width 2, as the
+/// minimal-width writer of earlier releases produced for small graphs.
+fn width2_store() -> Vec<u8> {
+    let (_, _, bytes) = sample_store();
+    reframe(&bytes, |tag, p| {
+        if tag == b"NODE" {
+            let count = u64::from_le_bytes(p[..8].try_into().unwrap());
+            let ids: Vec<u32> = p[16..16 + 4 * count as usize]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            p.truncate(16);
+            p[8] = 2;
+            for id in ids {
+                p.extend_from_slice(&(id as u16).to_le_bytes());
+            }
+            while p.len() % 8 != 0 {
+                p.push(0);
+            }
+        }
+    })
+}
+
+/// Each rejected input must fail with `check` from every entry point —
+/// `open_any` (and its load), the owned reader and the borrowed reader.
+fn rejected_everywhere(
+    bytes: &[u8],
+    tag: &str,
+    check: fn(&StoreError) -> bool,
+) {
+    let dir = std::env::temp_dir()
+        .join(format!("rdf-store-rt-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old.rdfb");
+    std::fs::write(&path, bytes).unwrap();
+    let errs = [
+        open_any(&path)
+            .and_then(|r| r.read_graph(Threads::Fixed(1)))
+            .unwrap_err(),
+        StoreReader::from_bytes(bytes.to_vec()).read_graph().unwrap_err(),
+        BorrowedStoreReader::from_buf(StoreBuf::from_bytes(bytes))
+            .read_view()
+            .unwrap_err(),
+    ];
+    for err in &errs {
+        assert!(check(err), "{tag}: unexpected {err:?}");
+        assert!(err.to_string().contains("re-import"), "{tag}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_one_store_is_rejected_by_every_reader() {
+    rejected_everywhere(&v1_store(), "v1", |e| {
+        matches!(e, StoreError::UnsupportedVersion { found: 1, supported: 2 })
+    });
+}
+
+#[test]
+fn width_two_column_is_rejected_by_every_reader() {
+    rejected_everywhere(&width2_store(), "w2", |e| {
+        matches!(e, StoreError::Corrupt(m) if m.contains("column width 2"))
+    });
+}
+
+#[test]
+fn no_mmap_fallback_serves_identical_bytes() {
+    let (_, g, bytes) = sample_store();
+    let dir = std::env::temp_dir()
+        .join(format!("rdf-store-rt-nommap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.rdfb");
+    std::fs::write(&path, &bytes).unwrap();
+    // The only test in this file that opens a store by path, so the
+    // environment switch cannot change another test's reader.
+    let mapped = BorrowedStoreReader::open(&path).unwrap();
+    std::env::set_var("RDF_NO_MMAP", "1");
+    let fallback = BorrowedStoreReader::open(&path);
+    std::env::remove_var("RDF_NO_MMAP");
+    let fallback = fallback.unwrap();
+    assert!(!fallback.buf().is_mapped());
+    assert_eq!(fallback.buf().as_slice(), bytes.as_slice());
+    assert_eq!(mapped.buf().as_slice(), bytes.as_slice());
+    let (_, a) = mapped.read_view().unwrap();
+    let (_, b) = fallback.read_view().unwrap();
+    assert!(a.columns_borrowed() && b.columns_borrowed());
+    assert_eq!(a.labels(), b.labels());
+    assert_eq!(a.to_graph().triples(), b.to_graph().triples());
+    assert_eq!(b.to_graph().triples(), g.graph().triples());
+    let _ = std::fs::remove_dir_all(&dir);
 }
