@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use rdf_align::pipeline::{align_with, Method};
 use rdf_align::Threads;
 use rdf_model::{rebase_into, RdfGraph, RdfGraphBuilder, Vocab};
-use rdf_store::{save_graph, save_sharded, ShardedReader, StoreReader};
+use rdf_obs::Recorder;
+use rdf_store::{save_graph, save_sharded, Store};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -102,16 +103,16 @@ proptest! {
         }
 
         let (sv, s1, s2) = load_pair(|name| {
-            StoreReader::open(dir.join(format!("{name}.rdfb")))
+            Store::open(dir.join(format!("{name}.rdfb")))
                 .unwrap()
-                .read_graph()
+                .graph(Threads::Fixed(1), &Recorder::disabled())
                 .unwrap()
         });
         for t in THREADS {
             let (hv, h1, h2) = load_pair(|name| {
-                ShardedReader::open(dir.join(format!("{name}.rdfm")))
+                Store::open(dir.join(format!("{name}.rdfm")))
                     .unwrap()
-                    .read_graph(Threads::Fixed(t))
+                    .graph(Threads::Fixed(t), &Recorder::disabled())
                     .unwrap()
             });
             // The loads themselves are bit-identical…

@@ -12,8 +12,10 @@ use proptest::prelude::*;
 use rdf_align::pipeline::{align_streaming_with, align_with, Method};
 use rdf_align::{RefineEngine, StreamError, StreamingRefineEngine, Threads};
 use rdf_model::{RdfGraph, RdfGraphBuilder, ShardColumnsSource, Vocab};
-use rdf_store::{save_sharded, ShardedReader, StoreError};
+use rdf_obs::Recorder;
+use rdf_store::{save_sharded, Store, StoreError};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn tmp() -> PathBuf {
@@ -120,14 +122,17 @@ proptest! {
         for shards in SHARDS {
             let manifest = dir.join(format!("g{shards}.rdfm"));
             save_sharded(&manifest, &vocab, &g1, shards).unwrap();
-            let reader = ShardedReader::open(&manifest).unwrap();
+            let reader = Store::open(&manifest).unwrap();
 
             // In-RAM baseline over the stitched load.
-            let (_, loaded) = reader.read_graph(Threads::Fixed(1)).unwrap();
+            let (_, loaded) = reader
+                .graph(Threads::Fixed(1), &Recorder::disabled())
+                .unwrap();
             let base = RefineEngine::new(Threads::Fixed(1))
                 .bisimulation(loaded.graph());
 
-            let store = reader.open_streaming().unwrap();
+            let store =
+                reader.shards(Arc::new(Recorder::disabled())).unwrap();
             prop_assert_eq!(
                 store.labels(), loaded.graph().labels_raw());
             let max_shard_bytes = (0..store.shard_count())
@@ -156,7 +161,7 @@ proptest! {
 }
 
 /// Shard corruption surfaces as the same typed [`StoreError`]s the
-/// stitched load reports — and deterministically. `open_streaming` is
+/// stitched load reports — and deterministically. `Store::shards` is
 /// the single checksum pass of a streaming run: pre-existing
 /// corruption fails the open itself, while damage inflicted *after*
 /// the open (whose checks the trusted per-round re-reads skip) still
@@ -178,9 +183,9 @@ fn corrupt_shards_fail_with_typed_errors_at_every_thread_count() {
     let paths = save_sharded(&manifest, &vocab, &g, 4).unwrap();
     // Open while the files are intact: this is the one-time validation
     // pass that later rounds trust.
-    let store = ShardedReader::open(&manifest)
+    let store = Store::open(&manifest)
         .unwrap()
-        .open_streaming()
+        .shards(Arc::new(Recorder::disabled()))
         .unwrap();
 
     // Flip one byte in shards 1 and 3. A *fresh* open runs the
@@ -192,9 +197,9 @@ fn corrupt_shards_fail_with_typed_errors_at_every_thread_count() {
         bytes[last] ^= 0xff;
         std::fs::write(shard, bytes).unwrap();
     }
-    let err = ShardedReader::open(&manifest)
+    let err = Store::open(&manifest)
         .unwrap()
-        .open_streaming()
+        .shards(Arc::new(Recorder::disabled()))
         .unwrap_err();
     match err {
         StoreError::ShardChecksumMismatch { ref shard, .. } => {

@@ -22,7 +22,7 @@ use rdf_align::{Recorder, Threads};
 use rdf_bench::BenchRecord;
 use rdf_datagen::{generate_efo, EfoConfig};
 use rdf_model::RdfGraph;
-use rdf_store::{save_graph, save_sharded, ShardedReader, StoreReader};
+use rdf_store::{save_graph, save_sharded, Store};
 use std::time::Instant;
 
 fn main() {
@@ -112,9 +112,9 @@ fn main() {
     let mut single_ms = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let (_, g) = StoreReader::open(&single_path)
+        let (_, g) = Store::open(&single_path)
             .unwrap()
-            .read_graph()
+            .graph(Threads::Auto, &Recorder::disabled())
             .unwrap();
         single_ms = single_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         baseline.get_or_insert(g);
@@ -144,9 +144,9 @@ fn main() {
         let mut loaded: Option<RdfGraph> = None;
         for _ in 0..reps {
             let t0 = Instant::now();
-            let (_, g) = ShardedReader::open(&manifest)
+            let (_, g) = Store::open(&manifest)
                 .unwrap()
-                .read_graph(Threads::Auto)
+                .graph(Threads::Auto, &Recorder::disabled())
                 .unwrap();
             best = best.min(t0.elapsed().as_secs_f64() * 1e3);
             loaded.get_or_insert(g);
@@ -179,9 +179,9 @@ fn main() {
     // headline wall times.
     let n = *shards_list.last().expect("non-empty shard list");
     let rec = Recorder::jsonl_writer(Box::new(std::io::sink()));
-    let traced = ShardedReader::open(dir.join(format!("g{n}.rdfm")))
+    let traced = Store::open(dir.join(format!("g{n}.rdfm")))
         .unwrap()
-        .read_graph_with_info_traced(Threads::Auto, &rec);
+        .graph(Threads::Auto, &rec);
     match traced {
         Err(e) => eprintln!("shard_load: trace not embedded: {e}"),
         Ok(_) => match rec.finish() {

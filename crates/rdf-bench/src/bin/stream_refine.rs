@@ -28,7 +28,7 @@
 use rdf_align::{Recorder, RefineEngine, StreamingRefineEngine, Threads};
 use rdf_bench::BenchRecord;
 use rdf_datagen::{generate_efo, EfoConfig};
-use rdf_store::{save_sharded, ShardedReader};
+use rdf_store::{save_sharded, Store};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -152,9 +152,9 @@ fn main() {
     for &n in &shards_list {
         let manifest = dir.join(format!("g{n}.rdfm"));
         save_sharded(&manifest, &ds.vocab, &version.graph, n).unwrap();
-        let store = ShardedReader::open(&manifest)
+        let store = Store::open(&manifest)
             .unwrap()
-            .open_streaming()
+            .shards(Arc::new(Recorder::disabled()))
             .unwrap();
         let mut engine = StreamingRefineEngine::new(threads);
         let mut best = f64::INFINITY;
@@ -197,11 +197,10 @@ fn main() {
     let n = *shards_list.last().expect("non-empty shard list");
     let manifest = dir.join(format!("g{n}.rdfm"));
     let rec = Arc::new(Recorder::jsonl_writer(Box::new(std::io::sink())));
-    let mut store = ShardedReader::open(&manifest)
+    let store = Store::open(&manifest)
         .unwrap()
-        .open_streaming()
+        .shards(Arc::clone(&rec))
         .unwrap();
-    store.set_recorder(Arc::clone(&rec));
     let mut engine = StreamingRefineEngine::with_recorder(threads, Arc::clone(&rec));
     let out = engine
         .bisimulation(&store, store.labels())

@@ -13,7 +13,7 @@ pub mod pipeline;
 pub mod serve;
 pub mod signals;
 
-use crate::pipeline::{ctx, open_any};
+use crate::pipeline::{ctx, open_store};
 use rdf_align::pipeline::{
     align_streaming_with_recorder, align_with_recorder, Aligned, Method,
     DEFAULT_STREAM_SHARDS,
@@ -21,12 +21,12 @@ use rdf_align::pipeline::{
 use rdf_align::{RefineEngine, StreamingRefineEngine, Threads};
 use rdf_model::{ShardColumnsSource, Vocab};
 use rdf_obs::{Recorder, RunReport};
-use rdf_store::{AnyReader, BorrowedStoreReader};
+use rdf_store::{Store, StoreError};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use pipeline::{load_input, load_input_traced, load_input_with};
+pub use pipeline::load_input;
 
 /// Any failure surfaced to the CLI user, with file context baked into
 /// the message.
@@ -139,8 +139,8 @@ pub fn import_traced(
 /// `rdf export <input> <output.nt>` — write a single-file or sharded
 /// store back out as canonical (line-sorted) N-Triples.
 pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
-    let (vocab, graph) = open_any(input)?
-        .read_graph(Threads::Auto)
+    let (vocab, graph) = open_store(input)?
+        .graph(Threads::Auto, &Recorder::disabled())
         .map_err(|e| ctx(input, e))?;
     rdf_io::save_file(output, &graph, &vocab).map_err(|e| ctx(output, e))?;
     Ok(format!(
@@ -165,20 +165,25 @@ pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
 /// shard files — the stitched graph is never materialised, so this
 /// requires a `.rdfm` manifest. The summary is byte-identical either
 /// way.
+///
+/// Store loads emit `store.open` / `store.section` / `shard.*` spans
+/// and the refinement its `refine.*` spans into `rec`; the report text
+/// is byte-identical to an untraced run. Each file is read and
+/// checksummed once.
 pub fn info(
     input: &Path,
     bisim: Option<Threads>,
     streaming: bool,
+    rec: &Arc<Recorder>,
 ) -> Result<String, CliError> {
-    info_traced(input, bisim, streaming, &Arc::new(Recorder::disabled()))
+    info_with(input, |p| Store::open(p), bisim, streaming, rec)
 }
 
-/// [`info`] with instrumentation: store loads emit `store.open` /
-/// `store.section` / `shard.load` spans and the `--bisim` refinement
-/// emits its `refine.*` spans into `rec`. The report text is
-/// byte-identical to the untraced run.
-pub fn info_traced(
+/// [`info`] over a store opened by `open` — the `serve` daemon passes
+/// [`Store::open_owned`], so it never maps a file it serves.
+pub(crate) fn info_with(
     input: &Path,
+    open: fn(&Path) -> Result<Store, StoreError>,
     bisim: Option<Threads>,
     streaming: bool,
     rec: &Arc<Recorder>,
@@ -186,166 +191,77 @@ pub fn info_traced(
     if streaming && bisim.is_none() {
         return Err(CliError::new("--streaming requires --bisim"));
     }
-    match open_any(input)? {
-        AnyReader::Single(reader) => {
-            let info = reader.info().map_err(|e| ctx(input, e))?;
-            let kind = match info.header.kind {
-                rdf_store::KIND_GRAPH => "graph store",
-                rdf_store::KIND_ARCHIVE => "archive",
-                rdf_store::KIND_SHARD => {
-                    "graph shard (load via its .rdfm manifest)"
-                }
-                _ => "unknown",
-            };
-            let [c0, c1, c2] = info.header.counts;
-            let counts = match info.header.kind {
-                rdf_store::KIND_GRAPH => {
-                    format!("labels {c0} nodes {c1} triples {c2}")
-                }
-                rdf_store::KIND_ARCHIVE => {
-                    format!("versions {c0} entities {c1} distinct-triples {c2}")
-                }
-                rdf_store::KIND_SHARD => {
-                    format!("shard-index {c0} triples {c2}")
-                }
-                _ => format!("{c0} {c1} {c2}"),
-            };
-            let mut out = format!(
-                "{}: RDFB v{} {kind}, {} bytes, checksums OK\n  {counts}\n",
-                input.display(),
-                info.header.version,
-                info.file_bytes,
-            );
-            for (tag, bytes) in &info.sections {
-                out.push_str(&format!("  section {tag}  {bytes} bytes\n"));
-            }
-            if let Some(threads) = bisim {
-                if streaming {
-                    return Err(ctx(
-                        input,
-                        "--streaming requires a sharded store \
-                         (.rdfm manifest)",
-                    ));
-                }
-                if info.header.kind == rdf_store::KIND_GRAPH {
-                    // Zero-copy path: serve the id columns as a view of
-                    // the (mapped) store buffer — no owned triple
-                    // vectors are materialised here.
-                    let breader = BorrowedStoreReader::open(input)
-                        .map_err(|e| ctx(input, e))?;
-                    let (_, view) = breader
-                        .read_view_traced(rec)
-                        .map_err(|e| ctx(input, e))?;
-                    let cols = view.out_columns();
-                    let mut engine =
-                        RefineEngine::with_recorder(threads, Arc::clone(rec));
-                    let outcome =
-                        engine.bisimulation_columns(view.labels(), &cols);
-                    out.push_str(&bisim_line(
-                        outcome.partition.num_colors(),
-                        view.node_count(),
-                        outcome.rounds,
-                        engine.threads(),
-                    ));
-                } else {
-                    out.push_str(
-                        "  bisimulation: n/a (not a graph store)\n",
-                    );
-                }
-            }
-            Ok(out)
-        }
-        AnyReader::Sharded(reader) => {
-            // With --bisim the graph is needed anyway, so gather the
-            // info summary in the same pass instead of reading and
-            // CRC-checking every shard file twice. On the streaming
-            // path the graph is deliberately *not* materialised:
-            // open_streaming_traced validates every shard exactly once
-            // (that pass doubles as the info summary), then the
-            // streaming engine re-reads the shards round by round
-            // without further checksum work.
-            let (info, graph, stream) = match (bisim, streaming) {
-                (Some(_), true) => {
-                    let (store, info) = reader
-                        .open_streaming_traced(Arc::clone(rec))
-                        .map_err(|e| ctx(input, e))?;
-                    (info, None, Some(store))
-                }
-                (None, _) => {
-                    (reader.info().map_err(|e| ctx(input, e))?, None, None)
-                }
-                (Some(threads), false) => {
-                    let (info, _, graph) = reader
-                        .read_graph_with_info_traced(threads, rec)
-                        .map_err(|e| ctx(input, e))?;
-                    (info, Some(graph), None)
-                }
-            };
-            let m = &info.manifest;
-            let mut out = format!(
-                "{}: RDFB v{} sharded graph store ({} shards), {} bytes \
-                 total, checksums OK\n  nodes {} triples {} seed {:#018x}\n",
-                input.display(),
-                info.version,
-                m.shards.len(),
-                info.total_bytes(),
-                m.nodes,
-                m.triples,
-                m.seed,
-            );
-            for (k, (entry, bytes)) in
-                m.shards.iter().zip(&info.shard_bytes).enumerate()
-            {
-                out.push_str(&format!(
-                    "  shard {k}: {}  triples {}  {} bytes\n",
-                    entry.name, entry.triples, bytes,
-                ));
-            }
-            match (bisim, streaming, &graph) {
-                (Some(threads), true, _) => {
-                    // Shard-at-a-time: only the color vector plus one
-                    // shard's columns per worker are ever resident.
-                    // The store (recorder already attached) comes from
-                    // the validating open above.
-                    let store = stream.expect("opened on the streaming arm");
-                    let mut engine = StreamingRefineEngine::with_recorder(
-                        threads,
-                        Arc::clone(rec),
-                    );
-                    let bisim = engine
-                        .bisimulation(&store, store.labels())
-                        .map_err(|e| ctx(input, e))?;
-                    out.push_str(&bisim_line(
-                        bisim.partition.num_colors(),
-                        store.node_count(),
-                        bisim.rounds,
-                        engine.threads(),
-                    ));
-                }
-                (Some(threads), false, Some(graph)) => {
-                    out.push_str(&bisim_summary(graph, threads, rec));
-                }
-                _ => {}
-            }
-            Ok(out)
-        }
-    }
+    let store = open(input).map_err(|e| ctx(input, e))?;
+    // Refine before summarising: loading a manifest's shards records
+    // the sizes the summary reports, so no shard file is read twice.
+    let bisim = bisim
+        .map(|threads| bisim_summary(&store, input, threads, streaming, rec))
+        .transpose()?;
+    let info = store.info(rec).map_err(|e| ctx(input, e))?;
+    Ok(format!("{}: {info}{}", input.display(), bisim.unwrap_or_default()))
 }
 
-/// Render the `info --bisim` summary line for a loaded graph.
+/// The `info --bisim` summary line. With `streaming`, the manifest's
+/// shards are refined one at a time: only the color vector plus one
+/// shard's columns per worker are ever resident. Otherwise a single
+/// file is refined zero-copy, over a view of the store buffer, and a
+/// manifest over its stitched graph; other kinds get "n/a".
 fn bisim_summary(
-    graph: &rdf_model::RdfGraph,
+    store: &Store,
+    input: &Path,
     threads: Threads,
+    streaming: bool,
     rec: &Arc<Recorder>,
-) -> String {
+) -> Result<String, CliError> {
+    if streaming {
+        let shards = match store.shards(Arc::clone(rec)) {
+            Err(StoreError::WrongContentKind { .. }) => {
+                return Err(ctx(
+                    input,
+                    "--streaming requires a sharded store (.rdfm manifest)",
+                ))
+            }
+            shards => shards.map_err(|e| ctx(input, e))?,
+        };
+        let mut engine =
+            StreamingRefineEngine::with_recorder(threads, Arc::clone(rec));
+        let bisim = engine
+            .bisimulation(&shards, shards.labels())
+            .map_err(|e| ctx(input, e))?;
+        return Ok(bisim_line(
+            bisim.partition.num_colors(),
+            shards.node_count(),
+            bisim.rounds,
+            engine.threads(),
+        ));
+    }
     let mut engine = RefineEngine::with_recorder(threads, Arc::clone(rec));
-    let bisim = engine.bisimulation(graph.graph());
-    bisim_line(
+    let (bisim, nodes) = match store.view(rec) {
+        Ok((_, view)) => (
+            engine.bisimulation_columns(view.labels(), &view.out_columns()),
+            view.node_count(),
+        ),
+        Err(StoreError::WrongContentKind { .. }) => {
+            match store.graph(threads, rec) {
+                Ok((_, graph)) => {
+                    (engine.bisimulation(graph.graph()), graph.node_count())
+                }
+                Err(StoreError::WrongContentKind { .. }) => {
+                    return Ok(
+                        "  bisimulation: n/a (not a graph store)\n".into()
+                    )
+                }
+                Err(e) => return Err(ctx(input, e)),
+            }
+        }
+        Err(e) => return Err(ctx(input, e)),
+    };
+    Ok(bisim_line(
         bisim.partition.num_colors(),
-        graph.node_count(),
+        nodes,
         bisim.rounds,
         engine.threads(),
-    )
+    ))
 }
 
 /// The one `info --bisim` summary format, shared by the in-RAM and
@@ -488,8 +404,8 @@ pub fn align_traced(
 ) -> Result<AlignOutcome, CliError> {
     let method = parse_method(method_name, theta)?;
     let mut vocab = Vocab::new();
-    let g1 = load_input_traced(source, &mut vocab, threads, rec)?;
-    let g2 = load_input_traced(target, &mut vocab, threads, rec)?;
+    let g1 = load_input(source, &mut vocab, threads, rec)?;
+    let g2 = load_input(target, &mut vocab, threads, rec)?;
     let aligned = if streaming {
         align_streaming_with_recorder(
             &vocab,

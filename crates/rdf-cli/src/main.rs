@@ -362,7 +362,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .try_into()
                 .map_err(|_| "info takes exactly one file")?;
             let rec = trace_recorder(trace)?;
-            let out = rdf_cli::info_traced(
+            let out = rdf_cli::info(
                 &input,
                 bisim.then_some(threads),
                 streaming,

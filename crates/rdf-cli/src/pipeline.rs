@@ -8,7 +8,7 @@ use crate::CliError;
 use rdf_align::Threads;
 use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
-use rdf_store::AnyReader;
+use rdf_store::Store;
 use std::path::Path;
 
 pub(crate) fn ctx(path: &Path, e: impl std::fmt::Display) -> CliError {
@@ -31,54 +31,46 @@ pub fn is_store(path: &Path) -> Result<bool, CliError> {
     Ok(magic == rdf_store::MAGIC)
 }
 
-/// Open a store of either on-disk layout (single-file or sharded),
-/// with the path baked into any error. This is the one store-opening
-/// path the CLI has: `info`, `export` and `align` all route through it
-/// instead of assuming a single-file store exists.
-pub fn open_any(path: &Path) -> Result<AnyReader, CliError> {
-    rdf_store::open_any(path).map_err(|e| ctx(path, e))
+/// Open a store of any kind (single-file or sharded), mapped where the
+/// platform allows, with the path baked into any error. This is the
+/// one store-opening path of the one-shot commands: `info`, `export`
+/// and `align` all route through it. The `serve` daemon opens with
+/// [`Store::open_owned`] instead.
+pub fn open_store(path: &Path) -> Result<Store, CliError> {
+    Store::open(path).map_err(|e| ctx(path, e))
 }
 
 /// Load either input format (store of either layout, or N-Triples) into
-/// the shared session vocabulary, on the default thread configuration.
-pub fn load_input(
-    path: &Path,
-    vocab: &mut Vocab,
-) -> Result<RdfGraph, CliError> {
-    load_input_with(path, vocab, Threads::Auto)
-}
-
-/// [`load_input`] with an explicit thread configuration — `threads`
-/// drives the parallel shard load for manifests and is ignored
-/// otherwise. The loaded graph is identical for every thread count.
-pub fn load_input_with(
-    path: &Path,
-    vocab: &mut Vocab,
-    threads: Threads,
-) -> Result<RdfGraph, CliError> {
-    load_input_traced(path, vocab, threads, &Recorder::disabled())
-}
-
-/// [`load_input_with`] with instrumentation: store loads emit
+/// the shared session vocabulary. `threads` drives the parallel shard
+/// load for manifests and is ignored otherwise. Store loads emit
 /// `store.open` / `store.section` / `shard.load` spans into `rec`
 /// (N-Triples text loads are not instrumented). The loaded graph is
-/// identical to the untraced load.
-pub fn load_input_traced(
+/// identical for every thread count, traced or not.
+pub fn load_input(
     path: &Path,
     vocab: &mut Vocab,
     threads: Threads,
     rec: &Recorder,
 ) -> Result<RdfGraph, CliError> {
     if is_store(path)? {
-        let (store_vocab, graph) = open_any(path)?
-            .read_graph_traced(threads, rec)
-            .map_err(|e| ctx(path, e))?;
-        // Re-express the store's dictionary in the session vocabulary:
-        // O(|dictionary|) string work, nothing per node or triple.
-        Ok(rebase_into(vocab, &store_vocab, &graph))
+        load_store(&open_store(path)?, path, vocab, threads, rec)
     } else {
         rdf_io::load_file(path, vocab).map_err(|e| ctx(path, e))
     }
+}
+
+/// Decode an opened store and re-express its dictionary in the session
+/// vocabulary: O(|dictionary|) string work, nothing per node or triple.
+pub(crate) fn load_store(
+    store: &Store,
+    path: &Path,
+    vocab: &mut Vocab,
+    threads: Threads,
+    rec: &Recorder,
+) -> Result<RdfGraph, CliError> {
+    let (store_vocab, graph) =
+        store.graph(threads, rec).map_err(|e| ctx(path, e))?;
+    Ok(rebase_into(vocab, &store_vocab, &graph))
 }
 
 #[cfg(test)]
@@ -95,9 +87,9 @@ mod tests {
         dir
     }
 
-    /// The open-any satellite: nonexistent paths, `.rdfb` single files
-    /// and `.rdfm` manifests each resolve correctly (and with the path
-    /// in the error message on failure).
+    /// Nonexistent paths, `.rdfb` single files and `.rdfm` manifests
+    /// each resolve correctly (and with the path in the error message
+    /// on failure).
     #[test]
     fn open_any_covers_every_input_shape() {
         let dir = tmp("openany");
@@ -113,23 +105,20 @@ mod tests {
         let manifest = dir.join("g.rdfm");
         rdf_store::save_sharded(&manifest, &vocab, &g, 3).unwrap();
 
-        assert!(matches!(
-            open_any(&single).unwrap(),
-            AnyReader::Single(_)
-        ));
-        assert!(matches!(
-            open_any(&manifest).unwrap(),
-            AnyReader::Sharded(_)
-        ));
-        let err = open_any(&dir.join("absent.rdfb")).unwrap_err();
+        // A single file is its own cache key; a manifest is not.
+        assert!(open_store(&single).unwrap().content_key().is_some());
+        assert!(open_store(&manifest).unwrap().content_key().is_none());
+        let err = open_store(&dir.join("absent.rdfb")).unwrap_err();
         assert!(err.to_string().contains("absent.rdfb"), "got: {err}");
 
         // And both layouts load to the same graph through the shared
         // session-vocabulary path.
         let mut session = Vocab::new();
-        let a = load_input(&single, &mut session).unwrap();
+        let rec = Recorder::disabled();
+        let a = load_input(&single, &mut session, Threads::Auto, &rec)
+            .unwrap();
         let b =
-            load_input_with(&manifest, &mut session, Threads::Fixed(2))
+            load_input(&manifest, &mut session, Threads::Fixed(2), &rec)
                 .unwrap();
         assert_eq!(a.graph().triples(), b.graph().triples());
         assert_eq!(a.graph().labels_raw(), b.graph().labels_raw());

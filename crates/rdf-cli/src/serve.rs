@@ -17,12 +17,16 @@
 //! * per-request [`Recorder`]s, so traces stay isolated per client and
 //!   can be returned in the response (`"trace":true`).
 //!
-//! Responses reuse the one-shot report renderers ([`crate::info_traced`],
+//! Responses reuse the one-shot report renderers ([`crate::info`],
 //! [`crate::AlignOutcome::render`]) — there is no second rendering
 //! path, which is what makes the byte-identity contract hold by
 //! construction.
+//!
+//! The daemon never maps a file it serves: every store is opened with
+//! an owned read ([`Store::open_owned`]), so truncating a served file cannot
+//! raise SIGBUS in the daemon.
 
-use crate::pipeline::{ctx, is_store, load_input_traced};
+use crate::pipeline::{ctx, is_store, load_input, load_store};
 use crate::signals;
 use crate::{AlignOutcome, CliError};
 use rdf_align::pipeline::{
@@ -34,7 +38,7 @@ use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::WorkerPool;
 use rdf_serve::{ErrorKind, Request, Response};
-use rdf_store::{Container, StoreReader, KIND_MANIFEST};
+use rdf_store::{Store, StoreError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -202,9 +206,9 @@ impl ServeState {
     /// session vocabulary plus whether it was served warm.
     ///
     /// Cached loads replay the exact one-shot pipeline
-    /// ([`load_input_traced`]: decode → `rebase_into`), just with the
+    /// ([`load_input`]: decode → `rebase_into`), just with the
     /// decode memoised — so reports stay byte-identical, and a warm hit
-    /// emits **no** `store.open` span (nothing is opened).
+    /// emits **no** `store.open` span (nothing is checksummed).
     fn load_cached(
         &self,
         path: &Path,
@@ -215,20 +219,16 @@ impl ServeState {
         if !is_store(path)? {
             // N-Triples text: uncached (cheap relative to stores, and
             // keeping it out preserves the parse-order contract).
-            return load_input_traced(path, session, threads, rec)
+            return load_input(path, session, threads, rec)
                 .map(|g| (g, false));
         }
-        let bytes = std::fs::read(path).map_err(|e| ctx(path, e))?;
-        let header =
-            Container::parse_header(&bytes).map_err(|e| ctx(path, e))?;
-        if header.kind == KIND_MANIFEST {
-            // Sharded store: the manifest hash would not cover the
+        let store = open_store(path).map_err(|e| ctx(path, e))?;
+        let Some((key, resident)) = store.content_key() else {
+            // Sharded store: the manifest's bytes do not cover the
             // shard files, so serve it uncached.
-            return load_input_traced(path, session, threads, rec)
+            return load_store(&store, path, session, threads, rec)
                 .map(|g| (g, false));
-        }
-        let key = fnv1a(&bytes);
-        let resident = bytes.len() as u64;
+        };
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(store) = cache.get(key) {
             return Ok((
@@ -238,9 +238,8 @@ impl ServeState {
         }
         // Miss: decode under the lock so concurrent requests for the
         // same store pay one decode, not N.
-        let (vocab, graph) = StoreReader::from_bytes(bytes)
-            .read_graph_traced(rec)
-            .map_err(|e| ctx(path, e))?;
+        let (vocab, graph) =
+            store.graph(threads, rec).map_err(|e| ctx(path, e))?;
         let store = Arc::new(CachedStore { vocab, graph });
         cache.insert(key, resident, Arc::clone(&store));
         Ok((rebase_into(session, &store.vocab, &store.graph), false))
@@ -270,16 +269,10 @@ impl ServeState {
     }
 }
 
-/// FNV-1a 64 over the file bytes: the cache key. Content-addressed, so
-/// re-imports of identical data hit and rewritten files miss — no
-/// mtime races.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// How the daemon opens every store it serves: an owned read, never a
+/// mapping (see the module docs).
+fn open_store(path: &Path) -> Result<Store, StoreError> {
+    Store::open_owned(path)
 }
 
 /// A `Vec<u8>` sink shared with the recorder, so a request's JSONL
@@ -368,8 +361,9 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             // report says "checksums OK"), so it never reads from the
             // cache — it is the cache-bypass readback.
             let threads = state.threads_for(threads);
-            crate::info_traced(
+            crate::info_with(
                 Path::new(&path),
+                open_store,
                 bisim.then_some(threads),
                 streaming,
                 &rec,
@@ -810,6 +804,22 @@ mod tests {
             SocketSpec::parse("tcp:127.0.0.1:7878"),
             SocketSpec::Tcp("127.0.0.1:7878".into())
         );
+    }
+
+    #[test]
+    fn daemon_never_maps_the_stores_it_serves() {
+        let dir = tmp("owned");
+        let single = store(&dir, "s.rdfb");
+        let mut vocab = Vocab::new();
+        let g = rdf_model::RdfGraphBuilder::new(&mut vocab).finish();
+        let manifest = dir.join("m.rdfm");
+        rdf_store::save_sharded(&manifest, &vocab, &g, 2).unwrap();
+        // `info` and align cache misses both open through this.
+        for path in [&single, &manifest] {
+            let opened = open_store(path).unwrap();
+            assert!(!opened.is_mapped(), "{} is mapped", path.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

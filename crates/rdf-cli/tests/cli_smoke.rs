@@ -580,6 +580,64 @@ fn trace_and_stats_cover_span_families() {
     assert!(err.contains("bad.jsonl"), "got: {err}");
 }
 
+/// Span events named `name` in a JSONL trace.
+fn spans_named(trace: &str, name: &str) -> Vec<rdf_obs::json::Json> {
+    trace
+        .lines()
+        .map(|l| rdf_obs::json::parse(l).unwrap())
+        .filter(|j| j.get("name").and_then(|v| v.as_str()) == Some(name))
+        .collect()
+}
+
+/// `rdf info --bisim` both summarises and refines a store, yet reads
+/// and checksums each file once: on a `.rdfb` the one `store.open`
+/// span (the only span that checksums the file) covers the whole file,
+/// and on a 4-shard `.rdfm` every shard file is read once, by its
+/// `shard.load`, with no separate validation pass.
+#[test]
+fn info_bisim_reads_and_checksums_each_file_once() {
+    let dir = TempDir::new("once");
+    run_ok(&[
+        "gen",
+        "--scale",
+        "0.15",
+        "--versions",
+        "1",
+        "--out-dir",
+        s(&dir.0),
+    ]);
+    let nt = dir.path("efo-v1.nt");
+    let single = dir.path("v1.rdfb");
+    let manifest = dir.path("v1.rdfm");
+    run_ok(&["import", s(&nt), s(&single)]);
+    run_ok(&["import", "--shards", "4", s(&nt), s(&manifest)]);
+
+    let trace = dir.path("single.jsonl");
+    let out =
+        run_ok(&["info", "--bisim", "--trace", s(&trace), s(&single)]);
+    assert!(out.contains("checksums OK"), "got: {out}");
+    assert!(out.contains("bisimulation:"), "got: {out}");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let opens = spans_named(&text, "store.open");
+    assert_eq!(opens.len(), 1, "one store.open per file:\n{text}");
+    let file_bytes = std::fs::metadata(&single).unwrap().len();
+    assert_eq!(
+        opens[0].get("bytes").and_then(|v| v.as_u64()),
+        Some(file_bytes)
+    );
+    // The view decodes DICT, NODE and TRPL once each.
+    assert_eq!(spans_named(&text, "store.section").len(), 3);
+
+    let trace = dir.path("sharded.jsonl");
+    let out =
+        run_ok(&["info", "--bisim", "--trace", s(&trace), s(&manifest)]);
+    assert!(out.contains("(4 shards)"), "got: {out}");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert_eq!(spans_named(&text, "shard.load").len(), 4, "{text}");
+    assert_eq!(spans_named(&text, "shard.crc").len(), 0, "{text}");
+    assert_eq!(spans_named(&text, "store.open").len(), 1, "{text}");
+}
+
 #[test]
 fn errors_exit_nonzero_with_context() {
     let dir = TempDir::new("errors");

@@ -1,17 +1,18 @@
-//! [`BorrowedStoreReader`]: serve a graph *view* out of a store buffer
-//! without materialising owned triple vectors.
+//! The single-file section walk behind [`Store::graph`] and
+//! [`Store::view`]: kind check, then the `DICT`, `NODE` and `TRPL`
+//! sections, each in its own `store.section` span.
 //!
-//! This is the read side of the zero-copy load path: a [`StoreBuf`]
-//! (mapped file or aligned owned buffer) is parsed in place, and the
-//! 4-byte `NODE`/`TRPL` columns are handed out as
-//! [`rdf_model::TripleGraphView`] columns that **borrow the file
-//! bytes** on a little-endian host (big-endian hosts get owned copies
-//! through the same API).
+//! The 4-byte `NODE`/`TRPL` columns are handed out as
+//! [`rdf_model::TripleGraphView`] columns that **borrow the store
+//! buffer** on a little-endian host (big-endian hosts get owned copies
+//! through the same API). The view borrows from the [`Store`], which
+//! the borrow checker turns into the safety property that matters: a
+//! view can never outlive the buffer (mapping) backing it. See the
+//! compile-fail example on [`Store`].
 //!
-//! The view borrows from the reader, which the borrow checker turns
-//! into the safety property that matters: a view can never outlive the
-//! buffer (mapping) backing it. See the compile-fail example on
-//! [`BorrowedStoreReader`].
+//! [`Store`]: crate::Store
+//! [`Store::graph`]: crate::Store::graph
+//! [`Store::view`]: crate::Store::view
 
 use crate::container::{Container, KIND_GRAPH};
 use crate::error::StoreError;
@@ -20,157 +21,99 @@ use crate::graph_store::{
     decode_dict_checked, kinds_for_labels, section_span, TAG_DICT, TAG_NODE,
     TAG_TRPL,
 };
-use crate::mmap::StoreBuf;
 use rdf_model::{
-    label_ids_from_le_bytes, node_ids_from_le_bytes, LabelId, NodeId,
-    TripleGraphView, Vocab,
+    label_ids_from_le_bytes, node_ids_from_le_bytes, LabelId, LabelKind,
+    NodeId, TripleGraphView, Vocab,
 };
 use rdf_obs::Recorder;
 use std::borrow::Cow;
-use std::path::Path;
 
-/// A graph store opened over a [`StoreBuf`] for borrowed (zero-copy)
-/// views.
-///
-/// ```
-/// use rdf_model::{RdfGraphBuilder, Vocab};
-/// use rdf_store::{graph_to_bytes, BorrowedStoreReader, StoreBuf};
-///
-/// let mut vocab = Vocab::new();
-/// let g = {
-///     let mut b = RdfGraphBuilder::new(&mut vocab);
-///     b.uub("ss", "address", "b1");
-///     b.bul("b1", "zip", "EH8");
-///     b.finish()
-/// };
-/// let bytes = graph_to_bytes(&vocab, &g).unwrap();
-/// let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
-/// let (vocab2, view) = reader.read_view().unwrap();
-/// assert_eq!(view.triple_count(), g.triple_count());
-/// assert_eq!(view.labels(), g.graph().labels_raw());
-/// assert!(vocab2.find_uri("address").is_some());
-/// ```
-///
-/// A view cannot outlive its reader (and thus its mapping) — this does
-/// not compile:
-///
-/// ```compile_fail
-/// use rdf_store::{BorrowedStoreReader, StoreBuf};
-///
-/// let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&[]));
-/// let view = reader.read_view();
-/// drop(reader); // error: `reader` is still borrowed by `view`
-/// let _ = view;
-/// ```
-#[derive(Debug)]
-pub struct BorrowedStoreReader {
-    buf: StoreBuf,
+/// One id column of a parsed fixed body: borrowed from the buffer when
+/// `cast` can serve it in place, an owned copy otherwise.
+fn id_column<'a, T: Clone>(
+    col: &'a [u8],
+    cast: fn(&'a [u8]) -> Option<&'a [T]>,
+    wrap: fn(u32) -> T,
+) -> Cow<'a, [T]> {
+    match cast(col) {
+        Some(ids) => Cow::Borrowed(ids),
+        None => Cow::Owned(read_column(col).into_iter().map(wrap).collect()),
+    }
 }
 
-impl BorrowedStoreReader {
-    /// Open a store file as a buffer (mapped when possible).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Ok(BorrowedStoreReader {
-            buf: StoreBuf::open(path)?,
+/// The decoded graph-global sections: dictionary, per-node labels and
+/// per-node kinds.
+type Globals<'a> = (Vocab, Cow<'a, [LabelId]>, Vec<LabelKind>);
+
+/// Decode the graph-global `DICT` and `NODE` sections, which single
+/// files and manifests share: the dictionary (with `dict_count`, its
+/// entry count must match), the per-node label column (exactly `nodes`
+/// entries, borrowed where possible) and the per-node kinds.
+pub(crate) fn decode_globals<'a>(
+    c: &Container<'a>,
+    dict_count: Option<u64>,
+    nodes: u64,
+    rec: &Recorder,
+) -> Result<Globals<'a>, StoreError> {
+    let dict_body = c.section(TAG_DICT)?;
+    let vocab = {
+        let _sp = section_span(rec, "DICT", dict_body.len());
+        decode_dict_checked(dict_body, dict_count)?
+    };
+    let node_body = c.section(TAG_NODE)?;
+    let labels = {
+        let _sp = section_span(rec, "NODE", node_body.len());
+        let fb =
+            parse_fixed_body(node_body, 1, Some(nodes), "NODE section")?;
+        let col = fixed_column(node_body, &fb, 0);
+        id_column(col, label_ids_from_le_bytes, LabelId)
+    };
+    let kinds = kinds_for_labels(&labels, &vocab)?;
+    Ok((vocab, labels, kinds))
+}
+
+/// Walk a checksummed single-file graph container: check its kind,
+/// decode the dictionary and serve the graph as a view whose columns
+/// borrow from the container's buffer.
+pub(crate) fn walk<'a>(
+    c: &Container<'a>,
+    rec: &Recorder,
+) -> Result<(Vocab, TripleGraphView<'a>), StoreError> {
+    let header = *c.header();
+    if header.kind != KIND_GRAPH {
+        return Err(StoreError::WrongContentKind {
+            found: header.kind,
+            expected: KIND_GRAPH,
+        });
+    }
+    let (vocab, labels, kinds) =
+        decode_globals(c, Some(header.counts[0]), header.counts[1], rec)?;
+    let trpl_body = c.section(TAG_TRPL)?;
+    let [s, p, o] = {
+        let _sp = section_span(rec, "TRPL", trpl_body.len());
+        let fb = parse_fixed_body(
+            trpl_body,
+            3,
+            Some(header.counts[2]),
+            "TRPL section",
+        )?;
+        [0, 1, 2].map(|i| {
+            let col = fixed_column(trpl_body, &fb, i);
+            id_column(col, node_ids_from_le_bytes, NodeId)
         })
-    }
-
-    /// Wrap an existing buffer.
-    pub fn from_buf(buf: StoreBuf) -> Self {
-        BorrowedStoreReader { buf }
-    }
-
-    /// The underlying buffer.
-    pub fn buf(&self) -> &StoreBuf {
-        &self.buf
-    }
-
-    /// Decode the dictionary and serve the graph as a view whose
-    /// columns borrow from the buffer.
-    pub fn read_view(
-        &self,
-    ) -> Result<(Vocab, TripleGraphView<'_>), StoreError> {
-        self.read_view_traced(&Recorder::disabled())
-    }
-
-    /// [`BorrowedStoreReader::read_view`] with instrumentation: one
-    /// `store.open` span (bytes) plus one `store.section` span per
-    /// section touched (`DICT`, `NODE`, `TRPL` — a view never decodes
-    /// `BNAM`). The view is identical to the untraced one.
-    pub fn read_view_traced(
-        &self,
-        rec: &Recorder,
-    ) -> Result<(Vocab, TripleGraphView<'_>), StoreError> {
-        let bytes = self.buf.as_slice();
-        let mut open = rec.span("store.open");
-        open.field("bytes", bytes.len());
-        let c = Container::parse(bytes)?;
-        drop(open);
-        let header = *c.header();
-        if header.kind != KIND_GRAPH {
-            return Err(StoreError::WrongContentKind {
-                found: header.kind,
-                expected: KIND_GRAPH,
-            });
-        }
-
-        let dict_body = c.section(TAG_DICT)?;
-        let vocab = {
-            let _sp = section_span(rec, "DICT", dict_body.len());
-            decode_dict_checked(dict_body, Some(header.counts[0]))?
-        };
-
-        let node_body = c.section(TAG_NODE)?;
-        let labels: Cow<'_, [LabelId]> = {
-            let _sp = section_span(rec, "NODE", node_body.len());
-            let fb = parse_fixed_body(
-                node_body,
-                1,
-                Some(header.counts[1]),
-                "NODE section",
-            )?;
-            let col = fixed_column(node_body, &fb, 0);
-            match label_ids_from_le_bytes(col) {
-                Some(ids) => Cow::Borrowed(ids),
-                None => Cow::Owned(
-                    read_column(col).into_iter().map(LabelId).collect(),
-                ),
-            }
-        };
-        let kinds = kinds_for_labels(&labels, &vocab)?;
-
-        let trpl_body = c.section(TAG_TRPL)?;
-        let [s, p, o] = {
-            let _sp = section_span(rec, "TRPL", trpl_body.len());
-            let fb = parse_fixed_body(
-                trpl_body,
-                3,
-                Some(header.counts[2]),
-                "TRPL section",
-            )?;
-            [0, 1, 2].map(|i| {
-                let col = fixed_column(trpl_body, &fb, i);
-                match node_ids_from_le_bytes(col) {
-                    Some(ids) => Cow::Borrowed(ids),
-                    None => Cow::Owned(
-                        read_column(col).into_iter().map(NodeId).collect(),
-                    ),
-                }
-            })
-        };
-
-        let view =
-            TripleGraphView::from_sorted_columns(labels, kinds, s, p, o)
-                .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        Ok((vocab, view))
-    }
+    };
+    let view = TripleGraphView::from_sorted_columns(labels, kinds, s, p, o)
+        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
+    Ok((vocab, view))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::graph_store::graph_to_bytes;
-    use rdf_model::RdfGraphBuilder;
+    use crate::Store;
+    use rdf_model::{RdfGraphBuilder, Vocab};
+    use rdf_obs::Recorder;
+    use rdf_par::Threads;
 
     fn sample() -> (Vocab, rdf_model::RdfGraph) {
         let mut vocab = Vocab::new();
@@ -190,16 +133,15 @@ mod tests {
     fn view_matches_owned_load() {
         let (vocab, g) = sample();
         let bytes = graph_to_bytes(&vocab, &g).unwrap();
-        let reader =
-            BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
-        let (v2, view) = reader.read_view().unwrap();
+        let rec = Recorder::disabled();
+        let store = Store::from_bytes(&bytes).unwrap();
+        let (v2, view) = store.view(&rec).unwrap();
         assert_eq!(view.node_count(), g.node_count());
         assert_eq!(view.triple_count(), g.triple_count());
         assert_eq!(view.labels(), g.graph().labels_raw());
         assert_eq!(view.kinds(), g.graph().kinds_raw());
         assert_eq!(view.to_graph().triples(), g.graph().triples());
-        let (owned_v, _) =
-            crate::StoreReader::from_bytes(bytes).read_graph().unwrap();
+        let (owned_v, _) = store.graph(Threads::Fixed(1), &rec).unwrap();
         assert_eq!(v2.len(), owned_v.len());
     }
 
@@ -220,9 +162,8 @@ mod tests {
             b.finish()
         };
         let bytes = graph_to_bytes(&vocab, &g).unwrap();
-        let reader =
-            BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
-        let (_, view) = reader.read_view().unwrap();
+        let store = Store::from_bytes(&bytes).unwrap();
+        let (_, view) = store.view(&Recorder::disabled()).unwrap();
         assert!(
             view.columns_borrowed(),
             "LE columns must borrow from the buffer"
@@ -248,10 +189,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let manifest = dir.join("m.rdfm");
         crate::save_sharded(&manifest, &vocab, &g, 2).unwrap();
-        let reader = BorrowedStoreReader::open(&manifest).unwrap();
+        let store = Store::open(&manifest).unwrap();
         assert!(matches!(
-            reader.read_view(),
-            Err(StoreError::WrongContentKind { .. })
+            store.view(&Recorder::disabled()),
+            Err(crate::StoreError::WrongContentKind { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -164,11 +164,12 @@ impl<'a> Container<'a> {
     /// but payload CRCs are *assumed* correct.
     ///
     /// Strictly for buffers whose checksums were already verified this
-    /// run (the streaming refinement engine re-reads each shard file
-    /// every round; [`crate::ShardedReader::open_streaming`] validates
-    /// every shard once up front, so the per-round re-parse must not
-    /// pay the checksum pass again). Never call this on bytes that have
-    /// not been through a checksummed parse first.
+    /// run: a [`crate::Store`] re-walking its own validated image, and
+    /// the streaming refinement engine re-reading each shard file every
+    /// round ([`crate::Store::shards`] validates every shard once up
+    /// front, so the per-round re-parse must not pay the checksum pass
+    /// again). Never call this on bytes that have not been through a
+    /// checksummed parse first.
     pub fn parse_trusted(bytes: &'a [u8]) -> Result<Self, StoreError> {
         Self::parse_inner(bytes, false)
     }

@@ -1,5 +1,6 @@
-//! Saving and loading a dictionary-encoded [`TripleGraph`] (`.rdfb`,
-//! content kind [`KIND_GRAPH`]).
+//! Saving a dictionary-encoded [`rdf_model::TripleGraph`] (`.rdfb`,
+//! content kind [`KIND_GRAPH`]), and the section codecs
+//! [`crate::Store`] decodes it with.
 //!
 //! A graph container holds four sections — `DICT` (label dictionary),
 //! `NODE` (per-node dictionary ids), `TRPL` (sorted triples as three
@@ -20,16 +21,12 @@
 //! therefore the single source of truth for both — byte-identical
 //! stitching falls out by construction.
 
-use crate::container::{
-    Container, ContainerWriter, Header, Layout, KIND_GRAPH, SECTION_OVERHEAD,
-};
+use crate::container::{ContainerWriter, Layout, KIND_GRAPH};
 use crate::dict::{read_dict, read_string, write_dict};
 use crate::error::StoreError;
 use crate::fixed::{check_pad8, encode_node_into, encode_trpl_into, pad8};
 use crate::varint::{read_varint_u32, read_varint_usize, write_varint};
-use rdf_model::{
-    FxHashMap, LabelId, LabelKind, NodeId, RdfGraph, TripleGraph, Vocab,
-};
+use rdf_model::{FxHashMap, LabelId, LabelKind, NodeId, RdfGraph, Vocab};
 use rdf_obs::{Recorder, SpanGuard};
 use std::io::Write;
 use std::path::Path;
@@ -110,8 +107,7 @@ pub(crate) fn encode_global_sections(
 }
 
 /// Bounds-check store label ids against the decoded dictionary and
-/// derive the per-node kind array. Shared by the owned and borrowed
-/// loads.
+/// derive the per-node kind array.
 pub(crate) fn kinds_for_labels(
     labels: &[LabelId],
     vocab: &Vocab,
@@ -128,18 +124,6 @@ pub(crate) fn kinds_for_labels(
         kinds.push(vocab.kind(label));
     }
     Ok(kinds)
-}
-
-/// Decode a `NODE` body into per-node labels + kinds against `vocab`.
-/// With `expected`, the embedded node count must match it exactly.
-pub(crate) fn decode_node(
-    node: &[u8],
-    vocab: &Vocab,
-    expected: Option<u64>,
-) -> Result<(Vec<LabelId>, Vec<LabelKind>), StoreError> {
-    let labels = crate::fixed::decode_node(node, expected)?;
-    let kinds = kinds_for_labels(&labels, vocab)?;
-    Ok((labels, kinds))
 }
 
 /// Decode a `BNAM` body into the blank-name map; node ids must stay
@@ -245,140 +229,8 @@ impl<W: Write> StoreWriter<W> {
     }
 }
 
-/// Reads graph containers from an in-memory image of the file.
-///
-/// ```
-/// use rdf_model::{RdfGraphBuilder, Vocab};
-/// use rdf_store::{graph_to_bytes, StoreReader};
-///
-/// let mut vocab = Vocab::new();
-/// let g = {
-///     let mut b = RdfGraphBuilder::new(&mut vocab);
-///     b.uub("ss", "address", "b1");
-///     b.bul("b1", "zip", "EH8");
-///     b.finish()
-/// };
-/// let bytes = graph_to_bytes(&vocab, &g).unwrap();
-///
-/// let reader = StoreReader::from_bytes(bytes);
-/// let info = reader.info().unwrap();          // header + checksums
-/// assert_eq!(info.header.counts[1], g.node_count() as u64);
-/// let (vocab2, g2) = reader.read_graph().unwrap();
-/// assert_eq!(g2.graph().triples(), g.graph().triples());
-/// assert!(vocab2.find_uri("address").is_some());
-/// ```
-#[derive(Debug)]
-pub struct StoreReader {
-    bytes: Vec<u8>,
-}
-
-/// Summary of a container, as shown by `rdf info`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreInfo {
-    /// Parsed fixed header.
-    pub header: Header,
-    /// Total file size in bytes.
-    pub file_bytes: usize,
-    /// `(tag, payload bytes)` per section, in file order. Present only
-    /// after full validation — every listed section passed its checksum.
-    pub sections: Vec<(String, usize)>,
-}
-
-impl StoreReader {
-    /// Read a container file fully into memory.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Ok(StoreReader {
-            bytes: std::fs::read(path)?,
-        })
-    }
-
-    /// Wrap an already-loaded byte buffer.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        StoreReader { bytes }
-    }
-
-    /// Validate the whole container (header, framing, checksums) and
-    /// summarise it. Works for any content kind.
-    pub fn info(&self) -> Result<StoreInfo, StoreError> {
-        let c = Container::parse(&self.bytes)?;
-        Ok(StoreInfo {
-            header: *c.header(),
-            file_bytes: self.bytes.len(),
-            sections: c
-                .sections()
-                .iter()
-                .map(|(tag, p)| {
-                    (
-                        String::from_utf8_lossy(tag).into_owned(),
-                        p.len() + SECTION_OVERHEAD,
-                    )
-                })
-                .collect(),
-        })
-    }
-
-    /// Decode the graph and its dictionary.
-    ///
-    /// The returned [`Vocab`] contains exactly the store's dictionary
-    /// (dense ids, blank label at 0); the graph's label ids index it
-    /// directly. No string is hashed per node or triple — only the one
-    /// pass that rebuilds the vocabulary's intern maps from the
-    /// dictionary.
-    pub fn read_graph(&self) -> Result<(Vocab, RdfGraph), StoreError> {
-        self.read_graph_traced(&Recorder::disabled())
-    }
-
-    /// [`StoreReader::read_graph`] with instrumentation: emits one
-    /// `store.open` span covering the container parse (framing plus
-    /// every section CRC) and one `store.section` span per decoded
-    /// section body. The decoded graph is byte-identical to the
-    /// untraced load — tracing is a pure side channel.
-    pub fn read_graph_traced(
-        &self,
-        rec: &Recorder,
-    ) -> Result<(Vocab, RdfGraph), StoreError> {
-        let mut open = rec.span("store.open");
-        open.field("bytes", self.bytes.len());
-        let c = Container::parse(&self.bytes)?;
-        drop(open);
-        let header = *c.header();
-        if header.kind != KIND_GRAPH {
-            return Err(StoreError::WrongContentKind {
-                found: header.kind,
-                expected: KIND_GRAPH,
-            });
-        }
-
-        let dict_body = c.section(TAG_DICT)?;
-        let vocab = {
-            let _sp = section_span(rec, "DICT", dict_body.len());
-            decode_dict_checked(dict_body, Some(header.counts[0]))?
-        };
-        let node_body = c.section(TAG_NODE)?;
-        let (labels, node_kinds) = {
-            let _sp = section_span(rec, "NODE", node_body.len());
-            decode_node(node_body, &vocab, Some(header.counts[1]))?
-        };
-        let node_count = labels.len();
-        let trpl_body = c.section(TAG_TRPL)?;
-        let triples = {
-            let _sp = section_span(rec, "TRPL", trpl_body.len());
-            crate::fixed::decode_trpl(trpl_body, Some(header.counts[2]))?
-        };
-        // Strictly ascending (checked by the decoder), so duplicate-free.
-        let graph = TripleGraph::from_raw_parts(labels, node_kinds, triples)
-            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        let bnam_body = c.section(TAG_BNAM)?;
-        let blank_names = {
-            let _sp = section_span(rec, "BNAM", bnam_body.len());
-            decode_bnam(bnam_body, node_count)?
-        };
-        Ok((vocab, RdfGraph::from_raw_parts(graph, blank_names)))
-    }
-}
-
 /// A `store.section` span tagged with the section name and body size.
-/// Shared by the single-file, borrowed and manifest traced loads.
+/// Shared by every section a [`crate::Store`] decodes.
 pub(crate) fn section_span<'a>(
     rec: &'a Recorder,
     section: &'static str,
@@ -403,13 +255,6 @@ pub fn save_graph(
     let file = std::fs::File::create(path)?;
     StoreWriter::new(std::io::BufWriter::new(file)).write_graph(vocab, graph)?;
     Ok(())
-}
-
-/// Load a graph from a `.rdfb` file.
-pub fn load_graph(
-    path: impl AsRef<Path>,
-) -> Result<(Vocab, RdfGraph), StoreError> {
-    StoreReader::open(path)?.read_graph()
 }
 
 /// Serialise a graph container into a byte vector.

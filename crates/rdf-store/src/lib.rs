@@ -6,20 +6,24 @@
 //! step for big-graph work is a compact binary representation that loads
 //! without re-parsing: a deduplicated label dictionary plus the sorted
 //! triple list as fixed-width columns (served zero-copy from a mapped
-//! file by [`BorrowedStoreReader`]), each section protected by a CRC-32
+//! file by [`Store::view`]), each section protected by a CRC-32
 //! so corruption fails loudly.
 //!
 //! * [`StoreWriter`] / [`save_graph`] — serialise a graph + vocabulary;
-//! * [`StoreReader`] / [`load_graph`] — reconstruct them with **zero
-//!   per-triple string hashing** (only the dictionary itself is
-//!   re-interned, once per distinct label);
+//! * [`Store`] — the one read handle: [`Store::open`] reads a store of
+//!   any kind once and resolves its content kind from the header, then
+//!   [`Store::graph`] reconstructs the graph with **zero per-triple
+//!   string hashing** (only the dictionary itself is re-interned, once
+//!   per distinct label), [`Store::view`] serves its columns zero-copy
+//!   and [`Store::info`] summarises it;
 //! * [`import_ntriples`] — stream N-Triples from any `BufRead` into a
 //!   store without materialising the document;
 //! * [`sharded`] — the sharded layout: a `.rdfm` manifest (global
 //!   dictionary + shard directory) plus N subject-hash-partitioned
-//!   `.rdfb` shard files, loaded concurrently and stitched
-//!   bit-identically to the single-file load ([`save_sharded`],
-//!   [`ShardedReader`], [`open_any`]);
+//!   `.rdfb` shard files, which [`Store::graph`] loads concurrently and
+//!   stitches bit-identically to the single-file load, and
+//!   [`Store::shards`] serves one shard at a time ([`save_sharded`],
+//!   [`StoreShards`]);
 //! * [`container`] — the generic section framing, reused by
 //!   `rdf-archive` for persistent archives.
 //!
@@ -31,7 +35,9 @@
 //!
 //! ```
 //! use rdf_model::{RdfGraphBuilder, Vocab};
-//! use rdf_store::{graph_to_bytes, StoreReader};
+//! use rdf_obs::Recorder;
+//! use rdf_par::Threads;
+//! use rdf_store::{graph_to_bytes, Store};
 //!
 //! let mut vocab = Vocab::new();
 //! let g = {
@@ -41,7 +47,9 @@
 //!     b.finish()
 //! };
 //! let bytes = graph_to_bytes(&vocab, &g).unwrap();
-//! let (vocab2, g2) = StoreReader::from_bytes(bytes).read_graph().unwrap();
+//! let store = Store::from_bytes(&bytes).unwrap();
+//! let rec = Recorder::disabled();
+//! let (vocab2, g2) = store.graph(Threads::Auto, &rec).unwrap();
 //! assert_eq!(g2.triple_count(), g.triple_count());
 //! assert_eq!(vocab2.find_uri("address").is_some(), true);
 //! ```
@@ -58,23 +66,20 @@ pub mod graph_store;
 pub mod import;
 pub mod mmap;
 pub mod sharded;
+pub mod store;
 pub mod varint;
 
-pub use borrowed::BorrowedStoreReader;
 pub use container::{
     version_for, Container, ContainerWriter, Header, Layout,
     ARCHIVE_VERSION, FORMAT_VERSION, KIND_ARCHIVE, KIND_GRAPH,
     KIND_MANIFEST, KIND_SHARD, MAGIC,
 };
 pub use error::StoreError;
-pub use graph_store::{
-    graph_to_bytes, load_graph, save_graph, StoreInfo, StoreReader,
-    StoreWriter,
-};
+pub use graph_store::{graph_to_bytes, save_graph, StoreWriter};
 pub use import::{import_ntriples, ImportError};
 pub use mmap::StoreBuf;
 pub use sharded::{
-    open_any, save_sharded, shard_of, AnyReader, Manifest, ShardEntry,
-    ShardedInfo, ShardedReader, ShardedWriter, StreamingStore,
+    save_sharded, shard_of, Manifest, ShardEntry, ShardedWriter, StoreShards,
     DEFAULT_SHARD_SEED, TAG_SHRD,
 };
+pub use store::{open_any, Store, StoreInfo};

@@ -6,8 +6,9 @@
 //! on Linux x86-64 and aarch64 (no libc crate, nothing to install),
 //! and a single `read_to_end`-style fallback everywhere else — so
 //! every platform and the CI container keep working, just without
-//! page-cache sharing. Setting `RDF_NO_MMAP=1` forces the fallback
-//! (used by tests to cover both paths on one machine).
+//! page-cache sharing. [`StoreBuf::read`] always takes the owned path:
+//! the `rdf serve` daemon opens stores that way, because truncating a
+//! mapped file under a reader raises SIGBUS in the whole process.
 //!
 //! Either way the buffer base is at least 8-aligned (pages are
 //! page-aligned; the owned fallback stores `u64` words), which is what
@@ -35,33 +36,31 @@ struct AlignedBuf {
 }
 
 impl AlignedBuf {
-    /// Read the entire file into an 8-aligned buffer.
+    /// Read the entire file into an 8-aligned buffer sized from the
+    /// file's metadata. A file of exactly that size fills the buffer
+    /// and is then confirmed complete by a small stack-buffer probe, so
+    /// it keeps its exact-size allocation; the buffer only grows if the
+    /// file turns out longer than its metadata said.
     fn read_file(file: &mut File) -> Result<AlignedBuf, StoreError> {
         let hint = file.metadata().map(|m| m.len() as usize).unwrap_or(0);
         let mut words = vec![0u64; hint.div_ceil(8)];
         let mut len = 0usize;
         loop {
             if len == words.len() * 8 {
+                let mut probe = [0u8; 64];
+                let n = read_some(file, &mut probe)?;
+                if n == 0 {
+                    break;
+                }
                 words.resize(words.len() + words.len().max(1024) / 2, 0);
+                bytes_mut(&mut words)[len..len + n]
+                    .copy_from_slice(&probe[..n]);
+                len += n;
+                continue;
             }
-            let spare = {
-                let total = words.len() * 8;
-                // SAFETY: viewing initialised u64 storage as bytes is
-                // always valid (alignment only ever decreases).
-                #[allow(unsafe_code)]
-                let bytes = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        words.as_mut_ptr().cast::<u8>(),
-                        total,
-                    )
-                };
-                &mut bytes[len..]
-            };
-            match file.read(spare) {
-                Ok(0) => break,
-                Ok(n) => len += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(StoreError::Io(e)),
+            match read_some(file, &mut bytes_mut(&mut words)[len..])? {
+                0 => break,
+                n => len += n,
             }
         }
         Ok(AlignedBuf { words, len })
@@ -76,6 +75,28 @@ impl AlignedBuf {
                 self.words.as_ptr().cast::<u8>(),
                 self.len,
             )
+        }
+    }
+}
+
+/// The byte view of initialised `u64` storage.
+fn bytes_mut(words: &mut [u64]) -> &mut [u8] {
+    let len = words.len() * 8;
+    // SAFETY: viewing initialised u64 storage as bytes is always valid
+    // (alignment only ever decreases), over exactly the same span.
+    #[allow(unsafe_code)]
+    unsafe {
+        std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), len)
+    }
+}
+
+/// One `read`, retried on `Interrupted`.
+fn read_some(file: &mut File, buf: &mut [u8]) -> Result<usize, StoreError> {
+    loop {
+        match file.read(buf) {
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(StoreError::Io(e)),
         }
     }
 }
@@ -222,8 +243,9 @@ impl RawMapping {
         // SAFETY: the mapping covers `len` readable bytes for the life
         // of self (unmapped only in Drop). The file is opened
         // read-only by us; concurrent external truncation of a store
-        // being read is outside the supported contract (same caveat as
-        // any mmap'd reader).
+        // being read is outside the contract of a mapped buffer (it
+        // raises SIGBUS, as for any mmap'd reader) — which is why the
+        // long-running daemon reads owned buffers (`StoreBuf::read`).
         #[allow(unsafe_code)]
         unsafe {
             std::slice::from_raw_parts(self.addr, self.len)
@@ -266,11 +288,10 @@ enum BufImpl {
     Owned(AlignedBuf),
 }
 
-/// The byte source behind a borrowed store reader: a mapped file or an
-/// owned 8-aligned buffer. Graph views produced by
-/// [`crate::BorrowedStoreReader`] borrow from this, which is what ties
-/// their lifetime to the buffer's (see the compile-fail example on
-/// [`crate::BorrowedStoreReader`]).
+/// The byte source behind a [`crate::Store`]: a mapped file or an owned
+/// 8-aligned buffer. Graph views produced by [`crate::Store::view`]
+/// borrow from this, which is what ties their lifetime to the buffer's
+/// (see the compile-fail example on [`crate::Store`]).
 #[derive(Debug)]
 pub struct StoreBuf {
     inner: BufImpl,
@@ -278,12 +299,10 @@ pub struct StoreBuf {
 
 impl StoreBuf {
     /// Open `path`, mapping it when possible and falling back to one
-    /// aligned read otherwise. `RDF_NO_MMAP=1` forces the fallback.
+    /// aligned read otherwise.
     pub fn open(path: impl AsRef<Path>) -> Result<StoreBuf, StoreError> {
         let mut file = File::open(path)?;
-        if MMAP_SUPPORTED
-            && std::env::var_os("RDF_NO_MMAP").is_none_or(|v| v != "1")
-        {
+        if MMAP_SUPPORTED {
             #[cfg(all(
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
@@ -305,21 +324,19 @@ impl StoreBuf {
         })
     }
 
+    /// Read `path` into an owned aligned buffer, never mapping it: a
+    /// later truncation of the file cannot touch these bytes.
+    pub fn read(path: impl AsRef<Path>) -> Result<StoreBuf, StoreError> {
+        let mut file = File::open(path)?;
+        Ok(StoreBuf {
+            inner: BufImpl::Owned(AlignedBuf::read_file(&mut file)?),
+        })
+    }
+
     /// Wrap in-memory bytes, copying them into an 8-aligned buffer.
     pub fn from_bytes(bytes: &[u8]) -> StoreBuf {
         let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        {
-            let n = bytes.len();
-            // SAFETY: byte view of initialised u64 storage, same span.
-            #[allow(unsafe_code)]
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    words.as_mut_ptr().cast::<u8>(),
-                    n,
-                )
-            };
-            dst.copy_from_slice(bytes);
-        }
+        bytes_mut(&mut words)[..bytes.len()].copy_from_slice(bytes);
         StoreBuf {
             inner: BufImpl::Owned(AlignedBuf {
                 words,
@@ -393,15 +410,34 @@ mod tests {
         let path = temp_path("fallback");
         let data = vec![7u8; 12345];
         File::create(&path).unwrap().write_all(&data).unwrap();
-        // Forced fallback must serve identical bytes, also 8-aligned.
-        // (Env var is read at open; tests in this process may race on
-        // set/remove, so compare against an explicit from_bytes copy.)
-        let owned = StoreBuf::from_bytes(&data);
-        assert!(!owned.is_mapped());
-        assert_eq!(owned.as_slice(), data.as_slice());
-        assert_eq!(owned.as_slice().as_ptr() as usize % 8, 0);
+        // The owned read must serve identical bytes, also 8-aligned.
+        let read = StoreBuf::read(&path).unwrap();
+        for owned in [StoreBuf::from_bytes(&data), read] {
+            assert!(!owned.is_mapped());
+            assert_eq!(owned.as_slice(), data.as_slice());
+            assert_eq!(owned.as_slice().as_ptr() as usize % 8, 0);
+        }
         let opened = StoreBuf::open(&path).unwrap();
-        assert_eq!(opened.as_slice(), owned.as_slice());
+        assert_eq!(opened.as_slice(), data.as_slice());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn owned_read_of_8k_bytes_keeps_exactly_k_words() {
+        // Store files are multiples of 8 bytes; reading one must not
+        // grow the exact-size buffer just to see EOF.
+        let path = temp_path("exact");
+        for k in [1usize, 7, 1000, 4096] {
+            let data: Vec<u8> = (0..8 * k).map(|i| i as u8).collect();
+            File::create(&path).unwrap().write_all(&data).unwrap();
+            let buf = StoreBuf::read(&path).unwrap();
+            assert_eq!(buf.as_slice(), data.as_slice());
+            match &buf.inner {
+                BufImpl::Owned(b) => assert_eq!(b.words.len(), k),
+                #[allow(unreachable_patterns)]
+                _ => panic!("StoreBuf::read never maps"),
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -15,10 +15,12 @@
 //! * each **shard** is an `RDFB` container of kind [`KIND_SHARD`]
 //!   holding one `TRPL` section — the sorted run of triples whose
 //!   subject hashes to it (see [`shard_of`] for the exact mix);
-//! * loading reads shards concurrently ([`rdf_par::scoped_try_map`])
-//!   and stitches the runs with [`TripleGraph::from_sorted_runs`],
-//!   yielding a graph **bit-identical to the single-file load** for
-//!   every shard count and thread count.
+//! * loading ([`crate::Store::graph`] on a manifest) reads shards
+//!   concurrently ([`rdf_par::scoped_try_map`]) and stitches the runs
+//!   with [`TripleGraph::from_sorted_runs`], yielding a graph
+//!   **bit-identical to the single-file load** for every shard count
+//!   and thread count; [`crate::Store::shards`] instead serves them one
+//!   at a time ([`StoreShards`]).
 //!
 //! The manifest records each shard's file name, triple count and a CRC
 //! over the *whole shard file*, so a missing, swapped or damaged shard
@@ -26,6 +28,7 @@
 //! The byte-level layout of manifests, shard files and the `shard_of`
 //! hash is specified normatively in `docs/FORMAT.md` §5.
 
+use crate::borrowed::decode_globals;
 use crate::checksum::crc32;
 use crate::container::{Container, ContainerWriter, KIND_MANIFEST, KIND_SHARD};
 use crate::error::StoreError;
@@ -33,15 +36,15 @@ use crate::fixed::{
     check_pad8, decode_trpl, decode_trpl_cols, encode_trpl_into, pad8,
 };
 use crate::graph_store::{
-    decode_bnam, decode_dict_checked, decode_node, encode_global_sections,
-    section_span, StoreReader, TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
+    decode_bnam, encode_global_sections, section_span, TAG_BNAM, TAG_DICT,
+    TAG_NODE, TAG_TRPL,
 };
 use crate::varint::{read_varint, read_varint_u32, write_varint};
 use rdf_model::{
-    LabelId, LabelKind, NodeId, RdfGraph, ShardColumns,
-    ShardColumnsSource, Triple, TripleGraph, Vocab,
+    LabelId, NodeId, RdfGraph, ShardColumns, ShardColumnsSource, Triple,
+    TripleGraph, Vocab,
 };
-use rdf_obs::Recorder;
+use rdf_obs::{Recorder, SpanGuard};
 use rdf_par::{chunk_ranges, scoped_try_map, Threads};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -205,45 +208,12 @@ impl ShardedWriter {
 }
 
 /// Save a graph as `<path>` (manifest) + `shards` shard files.
-pub fn save_sharded(
-    path: impl AsRef<Path>,
-    vocab: &Vocab,
-    graph: &RdfGraph,
-    shards: usize,
-) -> Result<Vec<PathBuf>, StoreError> {
-    ShardedWriter::new(shards).write(path, vocab, graph)
-}
-
-/// Summary of a sharded store, as shown by `rdf info`: the manifest
-/// plus per-shard file sizes. Present only after full validation —
-/// every shard file passed its manifest CRC and its own section
-/// checksums.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedInfo {
-    /// Manifest container format version.
-    pub version: u16,
-    /// The parsed shard directory.
-    pub manifest: Manifest,
-    /// Size of the manifest file in bytes.
-    pub manifest_bytes: usize,
-    /// Size of each shard file in bytes, in shard-index order.
-    pub shard_bytes: Vec<u64>,
-}
-
-impl ShardedInfo {
-    /// Total on-disk footprint (manifest + all shards).
-    pub fn total_bytes(&self) -> u64 {
-        self.manifest_bytes as u64 + self.shard_bytes.iter().sum::<u64>()
-    }
-}
-
-/// Reads a sharded store: the manifest image plus the directory shard
-/// paths resolve against.
 ///
 /// ```
 /// use rdf_model::{RdfGraphBuilder, Vocab};
+/// use rdf_obs::Recorder;
 /// use rdf_par::Threads;
-/// use rdf_store::{save_sharded, ShardedReader};
+/// use rdf_store::{save_sharded, Store};
 ///
 /// let dir = std::env::temp_dir().join(format!(
 ///     "rdfb-doc-sharded-{}", std::process::id()));
@@ -258,277 +228,130 @@ impl ShardedInfo {
 /// let manifest = dir.join("g.rdfm");
 /// save_sharded(&manifest, &vocab, &g, 3).unwrap();
 ///
-/// let reader = ShardedReader::open(&manifest).unwrap();
-/// assert_eq!(reader.manifest().unwrap().shards.len(), 3);
+/// let store = Store::open(&manifest).unwrap();
+/// let rec = Recorder::disabled();
+/// assert_eq!(store.info(&rec).unwrap().shard_bytes.len(), 3);
 /// // The stitched load is bit-identical to a single-file load, at
 /// // every thread count.
-/// let (_, g2) = reader.read_graph(Threads::Fixed(2)).unwrap();
+/// let (_, g2) = store.graph(Threads::Fixed(2), &rec).unwrap();
 /// assert_eq!(g2.graph().triples(), g.graph().triples());
 /// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
-#[derive(Debug)]
-pub struct ShardedReader {
-    dir: PathBuf,
-    bytes: Vec<u8>,
+pub fn save_sharded(
+    path: impl AsRef<Path>,
+    vocab: &Vocab,
+    graph: &RdfGraph,
+    shards: usize,
+) -> Result<Vec<PathBuf>, StoreError> {
+    ShardedWriter::new(shards).write(path, vocab, graph)
 }
 
-impl ShardedReader {
-    /// Read a manifest file fully into memory; shard paths resolve
-    /// relative to its parent directory.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        Ok(ShardedReader {
-            dir: path.parent().unwrap_or(Path::new("")).to_path_buf(),
-            bytes: std::fs::read(path)?,
-        })
+/// Decode a manifest's graph: the global dictionary and node table from
+/// the manifest container `c`, the shard `TRPL` runs read and validated
+/// concurrently on up to `threads` scoped workers (one `shard.load`
+/// span each), stitched with [`TripleGraph::from_sorted_runs`]. Also
+/// returns each shard file's size, in shard order.
+///
+/// The result is bit-identical to the single-file load of the same
+/// graph, for every shard count and every thread count; `threads` is
+/// purely a wall-clock knob. On failure the error is the
+/// lowest-indexed failing shard's, regardless of scheduling. Span
+/// *counts* depend only on the shard count, never on `threads`.
+pub(crate) fn stitch(
+    c: &Container<'_>,
+    manifest: &Manifest,
+    dir: &Path,
+    threads: Threads,
+    rec: &Recorder,
+) -> Result<(Vocab, RdfGraph, Vec<u64>), StoreError> {
+    let (vocab, labels, kinds) =
+        decode_globals(c, None, manifest.nodes, rec)?;
+    let labels = labels.into_owned();
+    let node_count = labels.len();
+
+    // One task per worker, each draining a contiguous range of the
+    // shard directory in order; flattening the per-task results in
+    // task order recovers exact shard order, independent of thread
+    // count.
+    let workers = threads.resolve().min(manifest.shards.len()).max(1);
+    let ranges = chunk_ranges(manifest.shards.len(), workers);
+    let entries = &manifest.shards;
+    let per_task: Vec<Vec<(u64, Vec<Triple>)>> =
+        scoped_try_map(ranges, |worker, range| {
+            range
+                .map(|k| -> Result<_, StoreError> {
+                    let entry = &entries[k];
+                    let mut sp = rec.span("shard.load");
+                    sp.field("shard", k);
+                    sp.field("worker", worker);
+                    let bytes = read_checked(dir, k, entry, &mut sp)?;
+                    let run = decode_trpl(
+                        trusted_trpl(&bytes, k, entry)?,
+                        Some(entry.triples),
+                    )
+                    .map_err(|e| wrap_in_shard(entry, e))?;
+                    Ok((bytes.len() as u64, run))
+                })
+                .collect()
+        })?;
+    let (shard_bytes, runs): (Vec<u64>, Vec<Vec<Triple>>) =
+        per_task.into_iter().flatten().unzip();
+
+    let graph = TripleGraph::from_sorted_runs(labels, kinds, runs)
+        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
+    if graph.triple_count() as u64 != manifest.triples {
+        return Err(StoreError::Corrupt(format!(
+            "stitched {} distinct triples but manifest records {} \
+             (duplicate or overlapping shards)",
+            graph.triple_count(),
+            manifest.triples
+        )));
     }
+    let bnam_body = c.section(TAG_BNAM)?;
+    let blank_names = {
+        let _sp = section_span(rec, "BNAM", bnam_body.len());
+        decode_bnam(bnam_body, node_count)?
+    };
+    Ok((vocab, RdfGraph::from_raw_parts(graph, blank_names), shard_bytes))
+}
 
-    /// Wrap an already-loaded manifest image; shard paths resolve
-    /// relative to `dir`.
-    pub fn from_bytes(dir: impl Into<PathBuf>, bytes: Vec<u8>) -> Self {
-        ShardedReader {
-            dir: dir.into(),
-            bytes,
-        }
-    }
-
-    /// Parse and fully validate the manifest (container checksums, the
-    /// shard directory's internal consistency, and agreement with the
-    /// header counts). Does not touch the shard files.
-    pub fn manifest(&self) -> Result<Manifest, StoreError> {
-        let c = Container::parse(&self.bytes)?;
-        parse_manifest(&c)
-    }
-
-    /// Validate the manifest *and* every shard file (manifest-recorded
-    /// whole-file CRCs plus each shard's own section checksums), and
-    /// summarise the store.
-    pub fn info(&self) -> Result<ShardedInfo, StoreError> {
-        let c = Container::parse(&self.bytes)?;
-        let version = c.header().version;
-        let manifest = parse_manifest(&c)?;
-        let mut shard_bytes = Vec::with_capacity(manifest.shards.len());
-        for (k, entry) in manifest.shards.iter().enumerate() {
-            let bytes = self.read_shard_bytes(entry)?;
-            parse_shard(&bytes, k, entry)?;
-            shard_bytes.push(bytes.len() as u64);
-        }
-        Ok(ShardedInfo {
-            version,
-            manifest,
-            manifest_bytes: self.bytes.len(),
-            shard_bytes,
-        })
-    }
-
-    /// Decode the full graph: global dictionary and node table from the
-    /// manifest, shard `TRPL` runs loaded concurrently on up to
-    /// `threads` scoped workers, stitched with
-    /// [`TripleGraph::from_sorted_runs`].
-    ///
-    /// The result is bit-identical to [`StoreReader::read_graph`] on
-    /// the equivalent single-file store, for every shard count and
-    /// every thread count; `threads` is purely a wall-clock knob. On
-    /// failure the error is the lowest-indexed failing shard's,
-    /// regardless of scheduling.
-    pub fn read_graph(
-        &self,
-        threads: Threads,
-    ) -> Result<(Vocab, RdfGraph), StoreError> {
-        self.read_graph_with_info(threads).map(|(_, v, g)| (v, g))
-    }
-
-    /// [`ShardedReader::read_graph`] that also returns the
-    /// [`ShardedInfo`] summary gathered during the same pass — every
-    /// shard file is read, CRC-checked and decoded exactly once
-    /// (callers wanting both, like `rdf info --bisim`, must not pay a
-    /// second full read).
-    pub fn read_graph_with_info(
-        &self,
-        threads: Threads,
-    ) -> Result<(ShardedInfo, Vocab, RdfGraph), StoreError> {
-        self.read_graph_with_info_traced(threads, &Recorder::disabled())
-    }
-
-    /// [`ShardedReader::read_graph_with_info`] with instrumentation:
-    /// emits a `store.open` span for the manifest parse, `store.section`
-    /// spans for the global sections, and one `shard.load` span per
-    /// shard file (index, worker, file bytes, CRC-check time). The
-    /// decoded graph is byte-identical to the untraced load and span
-    /// *counts* depend only on the shard count, never on `threads`.
-    pub fn read_graph_with_info_traced(
-        &self,
-        threads: Threads,
-        rec: &Recorder,
-    ) -> Result<(ShardedInfo, Vocab, RdfGraph), StoreError> {
-        let mut open = rec.span("store.open");
-        open.field("bytes", self.bytes.len());
-        let c = Container::parse(&self.bytes)?;
-        drop(open);
-        let version = c.header().version;
-        let manifest = parse_manifest(&c)?;
-
-        let dict_body = c.section(TAG_DICT)?;
-        let vocab = {
-            let _sp = section_span(rec, "DICT", dict_body.len());
-            decode_dict_checked(dict_body, None)?
-        };
-        let node_body = c.section(TAG_NODE)?;
-        let (labels, kinds) = {
-            let _sp = section_span(rec, "NODE", node_body.len());
-            decode_node(node_body, &vocab, Some(manifest.nodes))?
-        };
-        let node_count = labels.len();
-
-        // One task per worker, each draining a contiguous range of the
-        // shard directory in order; flattening the per-task results in
-        // task order recovers exact shard order, independent of thread
-        // count.
-        let workers = threads.resolve().min(manifest.shards.len()).max(1);
-        let ranges = chunk_ranges(manifest.shards.len(), workers);
-        let entries = &manifest.shards;
-        let per_task: Vec<Vec<(u64, Vec<Triple>)>> =
-            scoped_try_map(ranges, |ti, range| {
-                range
-                    .map(|k| -> Result<_, StoreError> {
-                        load_shard_traced(
-                            &self.dir,
-                            k,
-                            &entries[k],
-                            rec,
-                            Some(ti),
-                        )
-                    })
-                    .collect()
-            })?;
-        let (shard_bytes, runs): (Vec<u64>, Vec<Vec<Triple>>) =
-            per_task.into_iter().flatten().unzip();
-
-        let graph = TripleGraph::from_sorted_runs(labels, kinds, runs)
-            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        if graph.triple_count() as u64 != manifest.triples {
-            return Err(StoreError::Corrupt(format!(
-                "stitched {} distinct triples but manifest records {} \
-                 (duplicate or overlapping shards)",
-                graph.triple_count(),
-                manifest.triples
-            )));
-        }
-        let bnam_body = c.section(TAG_BNAM)?;
-        let blank_names = {
-            let _sp = section_span(rec, "BNAM", bnam_body.len());
-            decode_bnam(bnam_body, node_count)?
-        };
-        let info = ShardedInfo {
-            version,
-            manifest,
-            manifest_bytes: self.bytes.len(),
-            shard_bytes,
-        };
-        Ok((info, vocab, RdfGraph::from_raw_parts(graph, blank_names)))
-    }
-
-    fn read_shard_bytes(
-        &self,
-        entry: &ShardEntry,
-    ) -> Result<Vec<u8>, StoreError> {
-        read_shard_file(&self.dir, entry)
-    }
-
-    /// Open the store for **streaming refinement**: decode only the
-    /// global sections (dictionary and node table) and keep the shard
-    /// directory, so [`StreamingStore::load_shard`] can serve one
-    /// shard's columns at a time. The triples are *never* stitched
-    /// into a resident [`TripleGraph`] — this is the external-memory
-    /// entry point of the Luo et al. / Hellings et al. construction.
-    ///
-    /// Every shard file is read and fully checksum-verified **here,
-    /// once** (manifest whole-file CRC plus the shard's own section
-    /// checksums); subsequent [`StreamingStore::load_shard`] calls
-    /// re-read the bytes but skip the checksum passes, so a 20-round
-    /// fixpoint pays for 20 reads and **one** validation — not 20.
-    /// Corruption therefore surfaces before any refinement work starts.
-    pub fn open_streaming(&self) -> Result<StreamingStore, StoreError> {
-        self.open_streaming_traced(Arc::new(Recorder::disabled()))
-            .map(|(store, _)| store)
-    }
-
-    /// [`ShardedReader::open_streaming`] with instrumentation, also
-    /// returning the [`ShardedInfo`] summary gathered by the one-time
-    /// validation pass (callers rendering `rdf info` output must not
-    /// pay a second full read). The recorder is retained by the store,
-    /// so later `shard.load` spans land in the same trace; the
-    /// validation pass itself emits one `shard.crc` span per shard
-    /// (fields: `shard`, `bytes`) — exactly once per run, regardless
-    /// of how many refinement rounds follow.
-    pub fn open_streaming_traced(
-        &self,
-        rec: Arc<Recorder>,
-    ) -> Result<(StreamingStore, ShardedInfo), StoreError> {
-        let c = Container::parse(&self.bytes)?;
-        let version = c.header().version;
-        let manifest = parse_manifest(&c)?;
-        let vocab = decode_dict_checked(c.section(TAG_DICT)?, None)?;
-        let (labels, kinds) =
-            decode_node(c.section(TAG_NODE)?, &vocab, Some(manifest.nodes))?;
-        // The one-time validation pass: whole-file CRC against the
-        // manifest, then the shard's own framing, kind, index and
-        // section checksums. load_shard trusts these from here on.
-        let mut shard_bytes = Vec::with_capacity(manifest.shards.len());
-        for (k, entry) in manifest.shards.iter().enumerate() {
+/// Read and validate every shard file of `manifest` once, in shard
+/// order, one `shard.crc` span each; returns the file sizes. This is
+/// the checksum pass behind [`crate::Store::info`] and
+/// [`crate::Store::shards`].
+pub(crate) fn validate_shards(
+    dir: &Path,
+    manifest: &Manifest,
+    rec: &Recorder,
+) -> Result<Vec<u64>, StoreError> {
+    manifest
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(k, entry)| {
             let mut sp = rec.span("shard.crc");
             sp.field("shard", k);
-            let bytes = read_shard_file(&self.dir, entry)?;
-            sp.field("bytes", bytes.len());
-            check_shard_crc(&bytes, entry)?;
-            shard_trpl_body(&bytes, k, entry)
-                .map_err(|e| wrap_in_shard(entry, e))?;
-            shard_bytes.push(bytes.len() as u64);
-        }
-        let info = ShardedInfo {
-            version,
-            manifest: manifest.clone(),
-            manifest_bytes: self.bytes.len(),
-            shard_bytes,
-        };
-        Ok((
-            StreamingStore {
-                dir: self.dir.clone(),
-                manifest,
-                vocab,
-                labels,
-                kinds,
-                recorder: rec,
-            },
-            info,
-        ))
-    }
+            read_checked(dir, k, entry, &mut sp).map(|b| b.len() as u64)
+        })
+        .collect()
 }
 
-/// Read, CRC-check and decode one shard file, emitting a `shard.load`
-/// span (shard index, optional worker, file bytes, CRC-check time).
-/// With a disabled recorder this is exactly the untraced load.
-fn load_shard_traced(
+/// Read shard `k` and validate it ([`check_shard`]), recording its
+/// file `bytes` and the checksum time `crc_us` on `sp`.
+fn read_checked(
     dir: &Path,
     k: usize,
     entry: &ShardEntry,
-    rec: &Recorder,
-    worker: Option<usize>,
-) -> Result<(u64, Vec<Triple>), StoreError> {
-    let mut sp = rec.span("shard.load");
-    sp.field("shard", k);
-    if let Some(w) = worker {
-        sp.field("worker", w);
-    }
+    sp: &mut SpanGuard<'_>,
+) -> Result<Vec<u8>, StoreError> {
     let bytes = read_shard_file(dir, entry)?;
     sp.field("bytes", bytes.len());
     let crc_start = sp.enabled().then(Instant::now);
-    check_shard_crc(&bytes, entry)?;
+    check_shard(&bytes, k, entry)?;
     if let Some(start) = crc_start {
         sp.field("crc_us", start.elapsed().as_micros() as u64);
     }
-    let run = decode_shard(&bytes, k, entry)?;
-    Ok((bytes.len() as u64, run))
+    Ok(bytes)
 }
 
 /// Read one shard file, mapping absence to the typed
@@ -549,25 +372,29 @@ fn read_shard_file(
     }
 }
 
-/// A sharded store opened for shard-at-a-time streaming: the global
-/// sections (dictionary, per-node labels and kinds) are resident, the
-/// triples stay on disk and are served one shard at a time through the
-/// [`ShardColumnsSource`] implementation.
+/// A sharded store opened for shard-at-a-time streaming: the per-node
+/// labels are resident, the triples stay on disk and are served one
+/// shard at a time through the [`ShardColumnsSource`] implementation.
+/// This is the external-memory entry point of the Luo et al. /
+/// Hellings et al. construction: the triples are *never* stitched into
+/// a resident [`TripleGraph`].
 ///
-/// Checksums are verified **once**, by the
-/// [`ShardedReader::open_streaming`] validation pass — each
-/// [`StreamingStore::load_shard`] call re-reads its shard file but
-/// skips the whole-file CRC and section-checksum passes (framing,
-/// lengths, kind, index and triple counts are still checked, so a file
-/// swapped mid-run still fails with a typed [`StoreError`]). Like any
-/// mmap'd reader, external modification of a store *during* a run is
-/// outside the supported contract.
-///
-/// Built by [`ShardedReader::open_streaming`]:
+/// Built by [`crate::Store::shards`], which verifies every shard's
+/// checksums **once**. Each [`StoreShards::load_shard`] call re-reads
+/// its shard file but skips the whole-file CRC and section-checksum
+/// passes (framing, lengths, kind, index and triple counts are still
+/// checked, so a file swapped mid-run still fails with a typed
+/// [`StoreError`]), so a 20-round fixpoint pays for 20 reads and one
+/// validation. External modification of a store *during* a run is
+/// outside the supported contract. Every load emits a `shard.load`
+/// span (shard index, file bytes — no `crc_us`) into the recorder the
+/// source was built with.
 ///
 /// ```
 /// use rdf_model::{RdfGraphBuilder, ShardColumnsSource, Vocab};
-/// use rdf_store::{save_sharded, ShardedReader};
+/// use rdf_obs::Recorder;
+/// use rdf_store::{save_sharded, Store};
+/// use std::sync::Arc;
 ///
 /// let dir = std::env::temp_dir().join(format!(
 ///     "rdfb-doc-streaming-{}", std::process::id()));
@@ -582,45 +409,36 @@ fn read_shard_file(
 /// let manifest = dir.join("g.rdfm");
 /// save_sharded(&manifest, &vocab, &g, 2).unwrap();
 ///
-/// let store = ShardedReader::open(&manifest)
-///     .unwrap()
-///     .open_streaming()
-///     .unwrap();
-/// assert_eq!(store.node_count(), g.node_count());
-/// let edges: usize = (0..store.shard_count())
-///     .map(|k| store.load_shard(k).unwrap().len())
+/// let store = Store::open(&manifest).unwrap();
+/// let shards = store.shards(Arc::new(Recorder::disabled())).unwrap();
+/// assert_eq!(shards.node_count(), g.node_count());
+/// let edges: usize = (0..shards.shard_count())
+///     .map(|k| shards.load_shard(k).unwrap().len())
 ///     .sum();
 /// assert_eq!(edges, g.triple_count());
 /// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Debug)]
-pub struct StreamingStore {
+pub struct StoreShards {
     dir: PathBuf,
-    manifest: Manifest,
-    vocab: Vocab,
+    shards: Vec<ShardEntry>,
     labels: Vec<LabelId>,
-    kinds: Vec<LabelKind>,
     recorder: Arc<Recorder>,
 }
 
-impl StreamingStore {
-    /// Attach an instrumentation recorder: every subsequent
-    /// [`StreamingStore::load_shard`] emits a `shard.load` span (shard
-    /// index, file bytes — no `crc_us`: checksums were verified once at
-    /// open). Prefer [`ShardedReader::open_streaming_traced`], which
-    /// also captures the one-time `shard.crc` validation spans.
-    pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// The parsed shard directory.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
-    /// The store's dictionary.
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
+impl StoreShards {
+    pub(crate) fn new(
+        dir: PathBuf,
+        shards: Vec<ShardEntry>,
+        labels: Vec<LabelId>,
+        recorder: Arc<Recorder>,
+    ) -> StoreShards {
+        StoreShards {
+            dir,
+            shards,
+            labels,
+            recorder,
+        }
     }
 
     /// Per-node label ids (index = node id), decoded from the global
@@ -628,14 +446,9 @@ impl StreamingStore {
     pub fn labels(&self) -> &[LabelId] {
         &self.labels
     }
-
-    /// Per-node label kinds (index = node id).
-    pub fn kinds(&self) -> &[LabelKind] {
-        &self.kinds
-    }
 }
 
-impl ShardColumnsSource for StreamingStore {
+impl ShardColumnsSource for StoreShards {
     type Error = StoreError;
 
     fn node_count(&self) -> usize {
@@ -643,42 +456,33 @@ impl ShardColumnsSource for StreamingStore {
     }
 
     fn shard_count(&self) -> usize {
-        self.manifest.shards.len()
+        self.shards.len()
     }
 
     fn load_shard(&self, k: usize) -> Result<ShardColumns, StoreError> {
-        let entry = &self.manifest.shards[k];
+        let entry = &self.shards[k];
         let mut sp = self.recorder.span("shard.load");
         sp.field("shard", k);
         let bytes = read_shard_file(&self.dir, entry)?;
         sp.field("bytes", bytes.len());
-        // No checksum pass here: open_streaming() validated this file
-        // (whole-file CRC + section CRCs) exactly once, up front.
-        decode_shard_columns(&bytes, k, entry)
-            .map_err(|e| wrap_in_shard(entry, e))
+        // No checksum pass here: Store::shards validated this file
+        // (whole-file CRC + section CRCs) exactly once, up front. The
+        // columns feed ShardColumns with no intermediate Vec<Triple>.
+        let body = trusted_trpl(&bytes, k, entry)?;
+        let [s, p, o] = decode_trpl_cols(body, Some(entry.triples))
+            .map_err(|e| wrap_in_shard(entry, e))?;
+        Ok(ShardColumns::from_sorted_iter(s.iter().zip(&p).zip(&o).map(
+            |((&s, &p), &o)| Triple::new(NodeId(s), NodeId(p), NodeId(o)),
+        )))
     }
 }
 
-/// Decode one validated shard file straight into [`ShardColumns`]:
-/// the `TRPL` columns feed [`ShardColumns::from_sorted_iter`] with no
-/// intermediate `Vec<Triple>` on the streaming hot path.
-fn decode_shard_columns(
-    bytes: &[u8],
-    index: usize,
-    entry: &ShardEntry,
-) -> Result<ShardColumns, StoreError> {
-    // Trusted parse: the streaming open already checksummed this file;
-    // the per-round re-parse validates framing and counts only.
-    let body = shard_trpl_body_with(bytes, index, entry, true)?;
-    let [s, p, o] = decode_trpl_cols(body, Some(entry.triples))?;
-    Ok(ShardColumns::from_sorted_iter(s.iter().zip(&p).zip(&o).map(
-        |((&s, &p), &o)| Triple::new(NodeId(s), NodeId(p), NodeId(o)),
-    )))
-}
-
-/// Parse the `SHRD` directory out of a validated manifest container and
-/// cross-check it against the header counts.
-fn parse_manifest(c: &Container<'_>) -> Result<Manifest, StoreError> {
+/// Parse the `SHRD` directory out of a manifest container and
+/// cross-check it against the header counts. Any other content kind is
+/// [`StoreError::WrongContentKind`].
+pub(crate) fn parse_manifest(
+    c: &Container<'_>,
+) -> Result<Manifest, StoreError> {
     let header = *c.header();
     if header.kind != KIND_MANIFEST {
         return Err(StoreError::WrongContentKind {
@@ -748,22 +552,15 @@ fn parse_manifest(c: &Container<'_>) -> Result<Manifest, StoreError> {
     })
 }
 
-/// Validate one shard file against its manifest entry and decode its
-/// triple run.
-fn parse_shard(
+/// The one shard validation: the whole-file CRC its manifest entry
+/// records, then the shard's own container (framing and section
+/// checksums), kind and index. Errors from inside the container are
+/// wrapped in [`StoreError::InShard`] so they name the failing file —
+/// a bare section [`StoreError::ChecksumMismatch`] from one of N shards
+/// would otherwise leave the operator guessing which file is damaged.
+fn check_shard(
     bytes: &[u8],
     index: usize,
-    entry: &ShardEntry,
-) -> Result<Vec<Triple>, StoreError> {
-    check_shard_crc(bytes, entry)?;
-    decode_shard(bytes, index, entry)
-}
-
-/// Check a shard file's bytes against the whole-file CRC recorded in
-/// its manifest entry. Split from [`decode_shard`] so traced loads can
-/// time the checksum pass separately from the decode.
-fn check_shard_crc(
-    bytes: &[u8],
     entry: &ShardEntry,
 ) -> Result<(), StoreError> {
     let computed = crc32(bytes);
@@ -774,21 +571,20 @@ fn check_shard_crc(
             computed,
         });
     }
-    Ok(())
+    shard_trpl(bytes, index, entry, false)
+        .map(drop)
+        .map_err(|e| wrap_in_shard(entry, e))
 }
 
-/// Parse a CRC-validated shard container and decode its triple run.
-/// Any error from inside the container is wrapped in
-/// [`StoreError::InShard`] so it names the failing file — a bare
-/// section [`StoreError::ChecksumMismatch`] from one of N shards would
-/// otherwise leave the operator guessing which file is damaged.
-fn decode_shard(
-    bytes: &[u8],
+/// The `TRPL` body of a shard file [`check_shard`] has already
+/// validated this run: framing, kind and index are re-checked, the
+/// section checksums are not.
+fn trusted_trpl<'a>(
+    bytes: &'a [u8],
     index: usize,
     entry: &ShardEntry,
-) -> Result<Vec<Triple>, StoreError> {
-    decode_shard_inner(bytes, index, entry)
-        .map_err(|e| wrap_in_shard(entry, e))
+) -> Result<&'a [u8], StoreError> {
+    shard_trpl(bytes, index, entry, true).map_err(|e| wrap_in_shard(entry, e))
 }
 
 /// Name the failing shard file in an error bubbling out of its
@@ -806,29 +602,10 @@ fn wrap_in_shard(entry: &ShardEntry, e: StoreError) -> StoreError {
     }
 }
 
-fn decode_shard_inner(
-    bytes: &[u8],
-    index: usize,
-    entry: &ShardEntry,
-) -> Result<Vec<Triple>, StoreError> {
-    let body = shard_trpl_body(bytes, index, entry)?;
-    decode_trpl(body, Some(entry.triples))
-}
-
-/// Validate a shard container's framing, kind and index, and return
-/// its `TRPL` body.
-fn shard_trpl_body<'a>(
-    bytes: &'a [u8],
-    index: usize,
-    entry: &ShardEntry,
-) -> Result<&'a [u8], StoreError> {
-    shard_trpl_body_with(bytes, index, entry, false)
-}
-
-/// [`shard_trpl_body`] with a `trusted` switch: a trusted parse skips
-/// the section-checksum comparison (for buffers validated earlier in
-/// the same run — the streaming engine's per-round re-reads).
-fn shard_trpl_body_with<'a>(
+/// Parse a shard container, check its kind and index, and return its
+/// `TRPL` body. A `trusted` parse skips the section-checksum
+/// comparison ([`Container::parse_trusted`]).
+fn shard_trpl<'a>(
     bytes: &'a [u8],
     index: usize,
     entry: &ShardEntry,
@@ -855,70 +632,10 @@ fn shard_trpl_body_with<'a>(
     c.section(TAG_TRPL)
 }
 
-/// Either kind of on-disk graph store, resolved by content kind — the
-/// one entry point CLI-level code needs (`.rdfb` single files and
-/// `.rdfm` manifests are both `RDFB` containers; the kind byte, never
-/// the extension, decides).
-#[derive(Debug)]
-pub enum AnyReader {
-    /// A single-file graph store (or archive — kind-checked on decode).
-    Single(StoreReader),
-    /// A sharded store manifest.
-    Sharded(ShardedReader),
-}
-
-impl AnyReader {
-    /// Decode the graph from either kind of store. `threads` drives the
-    /// parallel shard load and is ignored for single files.
-    pub fn read_graph(
-        &self,
-        threads: Threads,
-    ) -> Result<(Vocab, RdfGraph), StoreError> {
-        match self {
-            AnyReader::Single(r) => r.read_graph(),
-            AnyReader::Sharded(r) => r.read_graph(threads),
-        }
-    }
-
-    /// [`AnyReader::read_graph`] with instrumentation — dispatches to
-    /// the store kind's traced load, so the trace carries `store.open`,
-    /// `store.section` and (for sharded stores) `shard.load` spans.
-    pub fn read_graph_traced(
-        &self,
-        threads: Threads,
-        rec: &Recorder,
-    ) -> Result<(Vocab, RdfGraph), StoreError> {
-        match self {
-            AnyReader::Single(r) => r.read_graph_traced(rec),
-            AnyReader::Sharded(r) => r
-                .read_graph_with_info_traced(threads, rec)
-                .map(|(_, v, g)| (v, g)),
-        }
-    }
-}
-
-/// Open a store path of either kind: the file's container header is
-/// sniffed, and a [`KIND_MANIFEST`] kind yields a sharded reader (shard
-/// paths resolving next to the manifest) while anything else yields a
-/// single-file reader. A nonexistent path is a typed I/O error; a
-/// non-container file is [`StoreError::BadMagic`]; a container of
-/// another format version (say, a version-1 graph store) is
-/// [`StoreError::UnsupportedVersion`].
-pub fn open_any(path: impl AsRef<Path>) -> Result<AnyReader, StoreError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)?;
-    let header = Container::parse_header(&bytes)?;
-    if header.kind == KIND_MANIFEST {
-        let dir = path.parent().unwrap_or(Path::new("")).to_path_buf();
-        Ok(AnyReader::Sharded(ShardedReader::from_bytes(dir, bytes)))
-    } else {
-        Ok(AnyReader::Single(StoreReader::from_bytes(bytes)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{open_any, Store};
     use rdf_model::RdfGraphBuilder;
 
     fn sample() -> (Vocab, RdfGraph) {
@@ -978,7 +695,11 @@ mod tests {
             );
             assert!(p.exists());
         }
-        let m = ShardedReader::open(&manifest).unwrap().manifest().unwrap();
+        let info = Store::open(&manifest)
+            .unwrap()
+            .info(&Recorder::disabled())
+            .unwrap();
+        let m = info.manifest.unwrap();
         assert_eq!(m.seed, DEFAULT_SHARD_SEED);
         assert_eq!(m.shards.len(), 3);
         assert_eq!(m.nodes, g.node_count() as u64);
@@ -1007,10 +728,10 @@ mod tests {
         save_sharded(&manifest, &vocab, &g, 2).unwrap();
 
         let a = open_any(&single).unwrap();
-        assert!(matches!(a, AnyReader::Single(_)));
+        assert!(a.content_key().is_some(), "single file is self-contained");
         let (_, g1) = a.read_graph(Threads::Fixed(1)).unwrap();
         let b = open_any(&manifest).unwrap();
-        assert!(matches!(b, AnyReader::Sharded(_)));
+        assert!(b.content_key().is_none(), "manifest resolves as sharded");
         let (_, g2) = b.read_graph(Threads::Fixed(2)).unwrap();
         assert_eq!(g1.graph().triples(), g2.graph().triples());
 
@@ -1042,7 +763,7 @@ mod tests {
             triples: g.triple_count() as u64,
             crc: crc32(&bytes),
         };
-        match parse_shard(&bytes, 0, &entry) {
+        match check_shard(&bytes, 0, &entry) {
             Err(StoreError::InShard { shard, source }) => {
                 assert_eq!(shard, "v-shard-0.rdfb");
                 assert!(matches!(
@@ -1061,7 +782,7 @@ mod tests {
             ..entry
         };
         assert!(matches!(
-            parse_shard(&bytes, 0, &bad),
+            check_shard(&bytes, 0, &bad),
             Err(StoreError::ShardChecksumMismatch { .. })
         ));
     }
@@ -1072,13 +793,16 @@ mod tests {
         let (vocab, g) = sample();
         let manifest = dir.join("t.rdfm");
         save_sharded(&manifest, &vocab, &g, 3).unwrap();
-        let reader = ShardedReader::open(&manifest).unwrap();
-        let (_, g1) = reader.read_graph(Threads::Fixed(2)).unwrap();
+        let (_, g1) = Store::open(&manifest)
+            .unwrap()
+            .graph(Threads::Fixed(2), &Recorder::disabled())
+            .unwrap();
 
         let rec =
             Recorder::jsonl_writer(Box::new(std::io::sink()));
-        let (_, _, g2) = reader
-            .read_graph_with_info_traced(Threads::Fixed(2), &rec)
+        let (_, g2) = Store::open(&manifest)
+            .unwrap()
+            .graph(Threads::Fixed(2), &rec)
             .unwrap();
         assert_eq!(g1.graph().triples(), g2.graph().triples());
         let report = rec.finish().unwrap().unwrap();
@@ -1094,7 +818,7 @@ mod tests {
         let (vocab, g) = sample();
         let manifest = dir.join("c.rdfm");
         save_sharded(&manifest, &vocab, &g, 3).unwrap();
-        let reader = ShardedReader::open(&manifest).unwrap();
+        let reader = Store::open(&manifest).unwrap();
 
         // Shared Vec<u8> sink so the raw JSONL lines can be inspected.
         #[derive(Clone, Default)]
@@ -1111,8 +835,9 @@ mod tests {
 
         let buf = Buf::default();
         let rec = Arc::new(Recorder::jsonl_writer(Box::new(buf.clone())));
-        let (store, info) =
-            reader.open_streaming_traced(Arc::clone(&rec)).unwrap();
+        let store = reader.shards(Arc::clone(&rec)).unwrap();
+        // The info summary reuses the validation pass: no second read.
+        let info = reader.info(&rec).unwrap();
         assert_eq!(info.shard_bytes.len(), 3);
         // Simulate a 5-round fixpoint: every round re-reads every
         // shard. The checksum pass must NOT scale with rounds.
@@ -1143,15 +868,15 @@ mod tests {
         let manifest = dir.join("e.rdfm");
         let paths = save_sharded(&manifest, &vocab, &g, 2).unwrap();
         // Flip one payload byte in the last shard file: the damage must
-        // surface at open_streaming(), before any refinement round.
+        // surface at shards(), before any refinement round.
         let shard_path = paths.last().unwrap();
         let mut bytes = std::fs::read(shard_path).unwrap();
         let mid = bytes.len() - 5;
         bytes[mid] ^= 0xff;
         std::fs::write(shard_path, &bytes).unwrap();
-        let err = ShardedReader::open(&manifest)
+        let err = Store::open(&manifest)
             .unwrap()
-            .open_streaming()
+            .shards(Arc::new(Recorder::disabled()))
             .unwrap_err();
         assert!(
             matches!(err, StoreError::ShardChecksumMismatch { .. }),
@@ -1166,10 +891,14 @@ mod tests {
         let (vocab, g) = sample();
         let manifest = dir.join("v.rdfm");
         save_sharded(&manifest, &vocab, &g, 2).unwrap();
-        let info = ShardedReader::open(&manifest).unwrap().info().unwrap();
-        assert_eq!(info.manifest.shards.len(), 2);
+        let info = Store::open(&manifest)
+            .unwrap()
+            .info(&Recorder::disabled())
+            .unwrap();
+        assert_eq!(info.manifest.as_ref().unwrap().shards.len(), 2);
         assert_eq!(info.shard_bytes.len(), 2);
-        assert!(info.total_bytes() > info.manifest_bytes as u64);
+        assert!(info.shard_bytes.iter().all(|&b| b > 0));
+        assert!(info.to_string().contains("sharded graph store (2 shards)"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,14 +8,14 @@
 
 use proptest::prelude::*;
 use rdf_model::{LabelRef, NodeId, RdfGraph, Term, Vocab};
+use rdf_obs::Recorder;
 use rdf_par::Threads;
 use rdf_store::{
     checksum::crc32,
     container::HEADER_LEN,
-    graph_to_bytes, open_any, save_sharded,
+    graph_to_bytes, save_sharded,
     varint::{read_varint, write_varint},
-    AnyReader, Container, ContainerWriter, ShardedReader, StoreError,
-    StoreReader, KIND_MANIFEST, TAG_SHRD,
+    Container, ContainerWriter, Store, StoreError, KIND_MANIFEST, TAG_SHRD,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -115,19 +115,18 @@ proptest! {
     fn sharded_load_is_identity_and_matches_single_file(
         (vocab, g) in arb_rdf_graph()
     ) {
-        let (sv, sg) = StoreReader::from_bytes(
-            graph_to_bytes(&vocab, &g).unwrap(),
-        )
-        .read_graph()
-        .unwrap();
+        let (sv, sg) = Store::from_bytes(&graph_to_bytes(&vocab, &g).unwrap())
+            .unwrap()
+            .graph(Threads::Fixed(1), &Recorder::disabled())
+            .unwrap();
         let dir = tmp("prop");
         for shards in SHARD_COUNTS {
             let manifest = dir.join(format!("g{shards}.rdfm"));
             save_sharded(&manifest, &vocab, &g, shards).unwrap();
             for t in THREAD_COUNTS {
-                let (v2, g2) = ShardedReader::open(&manifest)
+                let (v2, g2) = Store::open(&manifest)
                     .unwrap()
-                    .read_graph(Threads::Fixed(t))
+                    .graph(Threads::Fixed(t), &Recorder::disabled())
                     .unwrap();
                 // Term-level identity with the original graph.
                 prop_assert_eq!(
@@ -185,9 +184,11 @@ proptest! {
         save_sharded(&manifest, &vocab, &g, 2).unwrap();
         let bytes = std::fs::read(&manifest).unwrap();
         for cut in (0..bytes.len()).step_by(9) {
-            let r = ShardedReader::from_bytes(&dir, bytes[..cut].to_vec());
+            let r = Store::from_bytes(&bytes[..cut]).and_then(|r| {
+                r.graph(Threads::Fixed(2), &Recorder::disabled())
+            });
             prop_assert!(
-                r.read_graph(Threads::Fixed(2)).is_err(),
+                r.is_err(),
                 "cut at {} must fail",
                 cut
             );
@@ -216,7 +217,7 @@ fn sample_sharded(tag: &str) -> (PathBuf, PathBuf, Vec<PathBuf>) {
 }
 
 fn load(manifest: &PathBuf) -> Result<(Vocab, RdfGraph), StoreError> {
-    ShardedReader::open(manifest)?.read_graph(Threads::Fixed(2))
+    Store::open(manifest)?.graph(Threads::Fixed(2), &Recorder::disabled())
 }
 
 /// Decode a manifest's SHRD directory, apply `edit` to the entry list
@@ -271,10 +272,7 @@ fn empty_graph_shards_round_trip() {
     let g = rdf_model::RdfGraphBuilder::new(&mut Vocab::new()).finish();
     let manifest = dir.join("e.rdfm");
     save_sharded(&manifest, &vocab, &g, 4).unwrap();
-    let (v2, g2) = ShardedReader::open(&manifest)
-        .unwrap()
-        .read_graph(Threads::Fixed(2))
-        .unwrap();
+    let (v2, g2) = load(&manifest).unwrap();
     assert_eq!(g2.node_count(), 0);
     assert_eq!(g2.triple_count(), 0);
     assert_eq!(v2.len(), 1);
@@ -454,7 +452,7 @@ fn zero_shard_manifest_is_typed() {
 #[test]
 fn graph_store_passed_as_manifest_is_typed() {
     let (dir, manifest, _) = sample_sharded("kind");
-    // Point the sharded reader at a single-file graph store.
+    // Ask a single-file graph store for its shards.
     let mut vocab = Vocab::new();
     let g = {
         let mut b = rdf_model::RdfGraphBuilder::new(&mut vocab);
@@ -463,18 +461,17 @@ fn graph_store_passed_as_manifest_is_typed() {
     };
     let single = dir.join("g.rdfb");
     rdf_store::save_graph(&single, &vocab, &g).unwrap();
-    match ShardedReader::open(&single).unwrap().read_graph(Threads::Fixed(1)) {
+    let rec = std::sync::Arc::new(Recorder::disabled());
+    match Store::open(&single).unwrap().shards(rec).map(drop) {
         Err(StoreError::WrongContentKind { found, expected }) => {
             assert_eq!(found, rdf_store::KIND_GRAPH);
             assert_eq!(expected, KIND_MANIFEST);
         }
         other => panic!("expected WrongContentKind, got {other:?}"),
     }
-    // And open_any still resolves the real manifest as sharded.
-    assert!(matches!(
-        open_any(&manifest).unwrap(),
-        AnyReader::Sharded(_)
-    ));
+    // And the real manifest still opens as a manifest.
+    let info = Store::open(&manifest).unwrap().info(&Recorder::disabled());
+    assert_eq!(info.unwrap().header.kind, KIND_MANIFEST);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

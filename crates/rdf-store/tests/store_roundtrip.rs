@@ -5,22 +5,36 @@
 //! typed — never panicking — failures on corrupt containers, on
 //! version-1 stores and on any column width but 4.
 //!
-//! The borrowed-reader *lifetime* contract (a view cannot outlive its
+//! The borrowed-view *lifetime* contract (a view cannot outlive its
 //! buffer) is enforced at compile time by the `compile_fail` doctest on
-//! [`rdf_store::BorrowedStoreReader`].
+//! [`rdf_store::Store`].
 
 use proptest::prelude::*;
 use rdf_io::{parse_graph, write_graph};
 use rdf_model::{LabelRef, NodeId, RdfGraph, Term, Vocab};
+use rdf_obs::Recorder;
 use rdf_par::Threads;
 use rdf_store::{
     checksum::crc32,
     container::{HEADER_LEN, SECTION_OVERHEAD},
-    graph_to_bytes, open_any,
+    graph_to_bytes, open_any, save_sharded,
     varint::write_varint,
-    BorrowedStoreReader, Container, ContainerWriter, StoreBuf, StoreError,
-    StoreReader, FORMAT_VERSION, KIND_GRAPH,
+    Container, ContainerWriter, Store, StoreError, FORMAT_VERSION,
+    KIND_ARCHIVE, KIND_GRAPH, KIND_MANIFEST, KIND_SHARD,
 };
+use std::sync::Arc;
+
+/// Decode an in-memory store image through the one read handle.
+fn load(bytes: &[u8]) -> Result<(Vocab, RdfGraph), StoreError> {
+    Store::from_bytes(bytes)?.graph(Threads::Fixed(1), &Recorder::disabled())
+}
+
+/// Whether the borrowed view of an in-memory store image fails.
+fn view_fails(bytes: &[u8]) -> bool {
+    Store::from_bytes(bytes)
+        .and_then(|s| s.view(&Recorder::disabled()).map(drop))
+        .is_err()
+}
 
 /// Awkward characters exercising literal and IRI escaping.
 const TRICKY: &[&str] = &[
@@ -107,7 +121,7 @@ proptest! {
     #[test]
     fn save_load_is_identity((vocab, g) in arb_rdf_graph()) {
         let bytes = graph_to_bytes(&vocab, &g).unwrap();
-        let (v2, g2) = StoreReader::from_bytes(bytes).read_graph().unwrap();
+        let (v2, g2) = load(&bytes).unwrap();
         prop_assert_eq!(g2.node_count(), g.node_count());
         prop_assert_eq!(g2.triple_count(), g.triple_count());
         prop_assert_eq!(term_triples(&g2, &v2), term_triples(&g, &vocab));
@@ -127,7 +141,7 @@ proptest! {
         let mut fresh = Vocab::new();
         let parsed = parse_graph(&text, &mut fresh).unwrap();
         let bytes = graph_to_bytes(&fresh, &parsed).unwrap();
-        let (v2, loaded) = StoreReader::from_bytes(bytes).read_graph().unwrap();
+        let (v2, loaded) = load(&bytes).unwrap();
         prop_assert_eq!(
             loaded.graph().labels_raw(),
             parsed.graph().labels_raw()
@@ -179,11 +193,9 @@ proptest! {
     #[test]
     fn borrowed_view_matches_owned_load((vocab, g) in arb_rdf_graph()) {
         let bytes = graph_to_bytes(&vocab, &g).unwrap();
-        let (ov, owned) =
-            StoreReader::from_bytes(bytes.clone()).read_graph().unwrap();
-        let reader =
-            BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
-        let (bv, view) = reader.read_view().unwrap();
+        let (ov, owned) = load(&bytes).unwrap();
+        let store = Store::from_bytes(&bytes).unwrap();
+        let (bv, view) = store.view(&Recorder::disabled()).unwrap();
         prop_assert!(view.columns_borrowed());
         prop_assert_eq!(view.labels(), owned.graph().labels_raw());
         prop_assert_eq!(view.kinds(), owned.graph().kinds_raw());
@@ -199,8 +211,8 @@ proptest! {
         // Sampling every 7th cut keeps the case fast while still
         // touching header, frame and payload territory.
         for cut in (0..bytes.len()).step_by(7) {
-            let r = StoreReader::from_bytes(bytes[..cut].to_vec());
-            prop_assert!(r.read_graph().is_err(), "cut at {} must fail", cut);
+            let r = load(&bytes[..cut]);
+            prop_assert!(r.is_err(), "cut at {} must fail", cut);
         }
     }
 
@@ -213,14 +225,10 @@ proptest! {
         for tag in [b"NODE", b"TRPL"] {
             let (off, len) = section_payload(&bytes, tag);
             for cut in off..off + len {
-                let owned = StoreReader::from_bytes(bytes[..cut].to_vec())
-                    .read_graph();
+                let owned = load(&bytes[..cut]);
                 prop_assert!(owned.is_err(), "owned cut at {} must fail", cut);
-                let reader = BorrowedStoreReader::from_buf(
-                    StoreBuf::from_bytes(&bytes[..cut]),
-                );
                 prop_assert!(
-                    reader.read_view().is_err(),
+                    view_fails(&bytes[..cut]),
                     "borrowed cut at {} must fail",
                     cut
                 );
@@ -241,7 +249,7 @@ proptest! {
             // meaningful), but a flip may cancel out only by breaking a
             // count that a structural check catches — either way, no
             // silent success with different content.
-            let r = StoreReader::from_bytes(corrupt).read_graph();
+            let r = load(&corrupt);
             if let Ok((v2, g2)) = r {
                 // The only acceptable "success" is content identity
                 // (impossible for a real flip, but assert it anyway).
@@ -273,7 +281,7 @@ fn sample_store() -> (Vocab, RdfGraph, Vec<u8>) {
 fn bad_magic_is_typed() {
     let (_, _, mut bytes) = sample_store();
     bytes[..4].copy_from_slice(b"NOPE");
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::BadMagic { found }) => assert_eq!(&found, b"NOPE"),
         other => panic!("expected BadMagic, got {other:?}"),
     }
@@ -284,7 +292,7 @@ fn future_version_is_typed() {
     let (_, _, mut bytes) = sample_store();
     bytes[4] = 3;
     bytes[5] = 0;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::UnsupportedVersion { found: 3, supported }) => {
             assert_eq!(supported, FORMAT_VERSION)
         }
@@ -300,7 +308,7 @@ fn version_flag_is_the_layout_authority() {
     let (_, _, mut bytes) = sample_store();
     bytes[4] = 1;
     bytes[5] = 0;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::UnsupportedVersion { found: 1, supported: 2 }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
@@ -312,7 +320,7 @@ fn flipped_checksum_byte_is_typed() {
     // First section's stored checksum sits at header + tag + len.
     let crc_at = HEADER_LEN + 4 + 8;
     bytes[crc_at] ^= 0xff;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::ChecksumMismatch { section, .. }) => {
             assert_eq!(&section, b"DICT")
         }
@@ -326,7 +334,7 @@ fn flipped_trpl_checksum_is_typed() {
     let (off, _) = section_payload(&bytes, b"TRPL");
     // Stored checksum sits in the 4 bytes before the payload.
     bytes[off - 4] ^= 0xff;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::ChecksumMismatch { section, .. }) => {
             assert_eq!(&section, b"TRPL")
         }
@@ -340,7 +348,7 @@ fn flipped_payload_byte_is_typed() {
     let payload_at = HEADER_LEN + SECTION_OVERHEAD
         + 3;
     bytes[payload_at] ^= 0x55;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::ChecksumMismatch { .. }) => {}
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
@@ -349,7 +357,7 @@ fn flipped_payload_byte_is_typed() {
 #[test]
 fn truncated_header_is_typed() {
     let (_, _, bytes) = sample_store();
-    match StoreReader::from_bytes(bytes[..10].to_vec()).read_graph() {
+    match load(&bytes[..10]) {
         Err(StoreError::Truncated { .. }) => {}
         other => panic!("expected Truncated, got {other:?}"),
     }
@@ -361,12 +369,12 @@ fn archive_kind_rejected_by_graph_loader() {
     // Patch the content-kind byte to ARCHIVE (and the version to the
     // archive's, which the header check demands) and fix nothing else;
     // the kind check fires before any section is interpreted.
-    bytes[6] = rdf_store::KIND_ARCHIVE;
+    bytes[6] = KIND_ARCHIVE;
     bytes[4..6].copy_from_slice(&rdf_store::ARCHIVE_VERSION.to_le_bytes());
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::WrongContentKind { found, expected }) => {
-            assert_eq!(found, rdf_store::KIND_ARCHIVE);
-            assert_eq!(expected, rdf_store::KIND_GRAPH);
+            assert_eq!(found, KIND_ARCHIVE);
+            assert_eq!(expected, KIND_GRAPH);
         }
         other => panic!("expected WrongContentKind, got {other:?}"),
     }
@@ -377,7 +385,7 @@ fn empty_graph_round_trips() {
     let vocab = Vocab::new();
     let g = rdf_model::RdfGraphBuilder::new(&mut Vocab::new()).finish();
     let bytes = graph_to_bytes(&vocab, &g).unwrap();
-    let (v2, g2) = StoreReader::from_bytes(bytes).read_graph().unwrap();
+    let (v2, g2) = load(&bytes).unwrap();
     assert_eq!(g2.node_count(), 0);
     assert_eq!(g2.triple_count(), 0);
     assert_eq!(v2.len(), 1);
@@ -386,7 +394,10 @@ fn empty_graph_round_trips() {
 #[test]
 fn info_reports_header_and_sections() {
     let (_, g, bytes) = sample_store();
-    let info = StoreReader::from_bytes(bytes.clone()).info().unwrap();
+    let info = Store::from_bytes(&bytes)
+        .unwrap()
+        .info(&Recorder::disabled())
+        .unwrap();
     assert_eq!(info.header.kind, rdf_store::KIND_GRAPH);
     assert_eq!(info.header.counts[1], g.node_count() as u64);
     assert_eq!(info.header.counts[2], g.triple_count() as u64);
@@ -428,7 +439,7 @@ fn bad_width_byte_is_typed() {
     let (off, _) = section_payload(&bytes, b"TRPL");
     bytes[off + 8] = 3;
     fix_crc(&mut bytes, b"TRPL");
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::Corrupt(msg)) => {
             assert!(msg.contains("unsupported column width 3"), "got: {msg}")
         }
@@ -445,7 +456,7 @@ fn nonzero_padding_is_typed() {
     let (off, len) = section_payload(&bytes, b"NODE");
     bytes[off + len - 1] = 0xAA;
     fix_crc(&mut bytes, b"NODE");
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::Corrupt(msg)) => {
             assert!(msg.contains("padding"), "got: {msg}")
         }
@@ -480,7 +491,7 @@ fn misaligned_payload_is_typed() {
             p.push(0);
         }
     });
-    match StoreReader::from_bytes(out).read_graph() {
+    match load(&out) {
         Err(StoreError::Corrupt(_) | StoreError::Truncated { .. }) => {}
         other => panic!("expected typed misalignment error, got {other:?}"),
     }
@@ -493,7 +504,7 @@ fn count_mismatch_is_typed() {
     // matches what the header claims.
     let triples = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
     bytes[24..32].copy_from_slice(&(triples - 1).to_le_bytes());
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::Corrupt(msg)) => {
             assert!(msg.contains("disagrees with header"), "got: {msg}")
         }
@@ -556,7 +567,7 @@ fn width2_store() -> Vec<u8> {
 }
 
 /// Each rejected input must fail with `check` from every entry point —
-/// `open_any` (and its load), the owned reader and the borrowed reader.
+/// `open_any` (and its load), the owned load and the borrowed view.
 fn rejected_everywhere(
     bytes: &[u8],
     tag: &str,
@@ -571,9 +582,9 @@ fn rejected_everywhere(
         open_any(&path)
             .and_then(|r| r.read_graph(Threads::Fixed(1)))
             .unwrap_err(),
-        StoreReader::from_bytes(bytes.to_vec()).read_graph().unwrap_err(),
-        BorrowedStoreReader::from_buf(StoreBuf::from_bytes(bytes))
-            .read_view()
+        load(bytes).unwrap_err(),
+        Store::from_bytes(bytes)
+            .and_then(|s| s.view(&Recorder::disabled()).map(drop))
             .unwrap_err(),
     ];
     for err in &errs {
@@ -605,21 +616,105 @@ fn no_mmap_fallback_serves_identical_bytes() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.rdfb");
     std::fs::write(&path, &bytes).unwrap();
-    // The only test in this file that opens a store by path, so the
-    // environment switch cannot change another test's reader.
-    let mapped = BorrowedStoreReader::open(&path).unwrap();
-    std::env::set_var("RDF_NO_MMAP", "1");
-    let fallback = BorrowedStoreReader::open(&path);
-    std::env::remove_var("RDF_NO_MMAP");
-    let fallback = fallback.unwrap();
-    assert!(!fallback.buf().is_mapped());
-    assert_eq!(fallback.buf().as_slice(), bytes.as_slice());
-    assert_eq!(mapped.buf().as_slice(), bytes.as_slice());
-    let (_, a) = mapped.read_view().unwrap();
-    let (_, b) = fallback.read_view().unwrap();
+    let mapped = Store::open(&path).unwrap();
+    let owned = Store::open_owned(&path).unwrap();
+    assert!(!owned.is_mapped());
+    let mmap_supported = cfg!(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ));
+    assert_eq!(mapped.is_mapped(), mmap_supported);
+    let rec = Recorder::disabled();
+    for store in [&mapped, &owned] {
+        assert_eq!(store.info(&rec).unwrap().file_bytes, bytes.len());
+        assert_eq!(store.content_key(), mapped.content_key());
+    }
+    let (_, a) = mapped.view(&rec).unwrap();
+    let (_, b) = owned.view(&rec).unwrap();
     assert!(a.columns_borrowed() && b.columns_borrowed());
     assert_eq!(a.labels(), b.labels());
     assert_eq!(a.to_graph().triples(), b.to_graph().triples());
     assert_eq!(b.to_graph().triples(), g.graph().triples());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Assert one cell of the wrong-kind table: a value when `ok`, else
+/// exactly `WrongContentKind { found, expected }`.
+fn value_or_wrong_kind(
+    cell: &str,
+    result: Result<(), StoreError>,
+    ok: bool,
+    found: u8,
+    expected: u8,
+) {
+    match result {
+        Ok(()) => assert!(ok, "{cell}: expected WrongContentKind, got a value"),
+        Err(StoreError::WrongContentKind { found: f, expected: e }) => {
+            assert!(!ok, "{cell}: expected a value, got WrongContentKind");
+            assert_eq!((f, e), (found, expected), "{cell}");
+        }
+        Err(other) => {
+            panic!("{cell}: expected a value or WrongContentKind, got {other:?}")
+        }
+    }
+}
+
+/// Every `Store` method, opened every way on every container kind,
+/// returns either its value or a typed `WrongContentKind` naming the
+/// kind found and the kind the method needs.
+#[test]
+fn every_store_method_on_every_kind_is_a_value_or_wrong_kind() {
+    let (vocab, g, bytes) = sample_store();
+    let dir = std::env::temp_dir()
+        .join(format!("rdf-store-rt-kinds-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.rdfb");
+    std::fs::write(&graph, &bytes).unwrap();
+    // An archive: the graph store with its content-kind byte patched
+    // (and the version to the archive's, which the header check
+    // demands). Nothing else changes, so the kind check is what fires.
+    let archive = dir.join("a.rdfb");
+    let mut patched = bytes.clone();
+    patched[6] = KIND_ARCHIVE;
+    patched[4..6].copy_from_slice(&rdf_store::ARCHIVE_VERSION.to_le_bytes());
+    std::fs::write(&archive, &patched).unwrap();
+    let manifest = dir.join("m.rdfm");
+    let paths = save_sharded(&manifest, &vocab, &g, 2).unwrap();
+    let shard = paths[1].clone();
+
+    // (file, kind, graph ok, view ok, shards ok); info always succeeds.
+    let table = [
+        (&graph, KIND_GRAPH, true, true, false),
+        (&archive, KIND_ARCHIVE, false, false, false),
+        (&manifest, KIND_MANIFEST, true, false, true),
+        (&shard, KIND_SHARD, false, false, false),
+    ];
+    let threads = Threads::Fixed(2);
+    for (path, kind, graph_ok, view_ok, shards_ok) in table {
+        let opened = [
+            ("open", Store::open(path).unwrap()),
+            ("open_owned", Store::open_owned(path).unwrap()),
+            ("open_any", open_any(path).unwrap()),
+        ];
+        for (how, store) in opened {
+            let rec = Recorder::disabled();
+            let check = |m: &str, r: Result<(), StoreError>, ok, expected| {
+                let cell = format!("{how}({}).{m}", path.display());
+                value_or_wrong_kind(&cell, r, ok, kind, expected);
+            };
+            assert_eq!(store.info(&rec).unwrap().header.kind, kind);
+            let graph = store.graph(threads, &rec).map(drop);
+            check("graph", graph, graph_ok, KIND_GRAPH);
+            let shim = store.read_graph(threads).map(drop);
+            check("read_graph", shim, graph_ok, KIND_GRAPH);
+            let shim = store.read_graph_traced(threads, &rec).map(drop);
+            check("read_graph_traced", shim, graph_ok, KIND_GRAPH);
+            let view = store.view(&rec).map(drop);
+            check("view", view, view_ok, KIND_GRAPH);
+            let shards = store.shards(Arc::new(Recorder::disabled()));
+            check("shards", shards.map(drop), shards_ok, KIND_MANIFEST);
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
