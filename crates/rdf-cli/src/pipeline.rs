@@ -43,9 +43,9 @@ pub fn open_store(path: &Path) -> Result<Store, CliError> {
 /// Load either input format (store of either layout, or N-Triples) into
 /// the shared session vocabulary. `threads` drives the parallel shard
 /// load for manifests and is ignored otherwise. Store loads emit
-/// `store.open` / `store.section` / `shard.load` spans into `rec`
-/// (N-Triples text loads are not instrumented). The loaded graph is
-/// identical for every thread count, traced or not.
+/// `store.open` / `store.section` / `shard.load` / `vocab.rebase` spans
+/// into `rec` (N-Triples text loads are not instrumented). The loaded
+/// graph is identical for every thread count, traced or not.
 pub fn load_input(
     path: &Path,
     vocab: &mut Vocab,
@@ -70,7 +70,22 @@ pub(crate) fn load_store(
 ) -> Result<RdfGraph, CliError> {
     let (store_vocab, graph) =
         store.graph(threads, rec).map_err(|e| ctx(path, e))?;
-    Ok(rebase_into(vocab, &store_vocab, &graph))
+    Ok(rebase(vocab, &store_vocab, &graph, rec))
+}
+
+/// [`rebase_into`] under a `vocab.rebase` span: `labels` is the size of
+/// the store dictionary, `identity` whether the session vocabulary was
+/// still empty (the copying shortcut).
+pub(crate) fn rebase(
+    vocab: &mut Vocab,
+    from: &Vocab,
+    graph: &RdfGraph,
+    rec: &Recorder,
+) -> RdfGraph {
+    let mut span = rec.span("vocab.rebase");
+    span.field("labels", from.len());
+    span.field("identity", vocab.is_empty());
+    rebase_into(vocab, from, graph)
 }
 
 #[cfg(test)]

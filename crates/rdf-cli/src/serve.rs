@@ -26,7 +26,7 @@
 //! an owned read ([`Store::open_owned`]), so truncating a served file cannot
 //! raise SIGBUS in the daemon.
 
-use crate::pipeline::{ctx, is_store, load_input, load_store};
+use crate::pipeline::{ctx, is_store, load_input, load_store, rebase};
 use crate::signals;
 use crate::{AlignOutcome, CliError};
 use rdf_align::pipeline::{
@@ -34,7 +34,7 @@ use rdf_align::pipeline::{
     DEFAULT_STREAM_SHARDS,
 };
 use rdf_align::Threads;
-use rdf_model::{rebase_into, RdfGraph, Vocab};
+use rdf_model::{RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::WorkerPool;
 use rdf_serve::{ErrorKind, Request, Response};
@@ -206,7 +206,7 @@ impl ServeState {
     /// session vocabulary plus whether it was served warm.
     ///
     /// Cached loads replay the exact one-shot pipeline
-    /// ([`load_input`]: decode → `rebase_into`), just with the
+    /// ([`load_input`]: decode → `rebase`), just with the
     /// decode memoised — so reports stay byte-identical, and a warm hit
     /// emits **no** `store.open` span (nothing is checksummed).
     fn load_cached(
@@ -231,10 +231,7 @@ impl ServeState {
         };
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(store) = cache.get(key) {
-            return Ok((
-                rebase_into(session, &store.vocab, &store.graph),
-                true,
-            ));
+            return Ok((rebase(session, &store.vocab, &store.graph, rec), true));
         }
         // Miss: decode under the lock so concurrent requests for the
         // same store pay one decode, not N.
@@ -242,7 +239,7 @@ impl ServeState {
             store.graph(threads, rec).map_err(|e| ctx(path, e))?;
         let store = Arc::new(CachedStore { vocab, graph });
         cache.insert(key, resident, Arc::clone(&store));
-        Ok((rebase_into(session, &store.vocab, &store.graph), false))
+        Ok((rebase(session, &store.vocab, &store.graph, rec), false))
     }
 
     /// Render the `stats` report.

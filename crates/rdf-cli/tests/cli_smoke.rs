@@ -4,6 +4,7 @@
 
 use rdf_align::pipeline::{align as pipeline_align, Method};
 use rdf_model::Vocab;
+use rdf_obs::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -587,6 +588,52 @@ fn spans_named(trace: &str, name: &str) -> Vec<rdf_obs::json::Json> {
         .map(|l| rdf_obs::json::parse(l).unwrap())
         .filter(|j| j.get("name").and_then(|v| v.as_str()) == Some(name))
         .collect()
+}
+
+/// Each store input of `rdf align` is rebased into the session
+/// vocabulary under one `vocab.rebase` span; the first input lands in an
+/// empty vocabulary and takes the copying shortcut (`identity: true`).
+/// Tracing leaves the report unchanged.
+#[test]
+fn align_traces_one_rebase_per_store_input() {
+    let dir = TempDir::new("rebase");
+    run_ok(&[
+        "gen",
+        "--scale",
+        "0.15",
+        "--versions",
+        "2",
+        "--out-dir",
+        s(&dir.0),
+    ]);
+    let v1 = dir.path("v1.rdfb");
+    let v2 = dir.path("v2.rdfb");
+    run_ok(&["import", s(&dir.path("efo-v1.nt")), s(&v1)]);
+    run_ok(&["import", s(&dir.path("efo-v2.nt")), s(&v2)]);
+
+    let untraced = run_ok(&["align", "--method", "hybrid", s(&v1), s(&v2)]);
+    let trace = dir.path("t.jsonl");
+    let traced = run_ok(&[
+        "align", "--method", "hybrid", "--trace", s(&trace),
+        s(&v1), s(&v2),
+    ]);
+    assert_eq!(untraced, traced, "--trace changed the report");
+
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let rebases = spans_named(&text, "vocab.rebase");
+    assert_eq!(rebases.len(), 2, "one rebase per input:\n{text}");
+    let identity: Vec<_> = rebases
+        .iter()
+        .map(|j| j.get("identity").cloned())
+        .collect();
+    assert_eq!(
+        identity,
+        [Some(Json::Bool(true)), Some(Json::Bool(false))],
+        "{text}"
+    );
+    for j in &rebases {
+        assert!(j.get("labels").and_then(|v| v.as_u64()).unwrap() > 1);
+    }
 }
 
 /// `rdf info --bisim` both summarises and refines a store, yet reads

@@ -127,11 +127,20 @@ impl RdfGraph {
 /// joins a shared session vocabulary (the alignment pipeline requires
 /// both versions to share one [`Vocab`]). Node ids, triples and blank
 /// names are preserved verbatim; only label ids are rewritten.
+///
+/// Into a vocabulary that holds only the blank label, interning `from`
+/// label by label would give every label its own id back, so that case
+/// copies `from` and `graph` wholesale instead (the first input of every
+/// alignment takes it).
 pub fn rebase_into(
     vocab: &mut Vocab,
     from: &Vocab,
     graph: &RdfGraph,
 ) -> RdfGraph {
+    if vocab.is_empty() {
+        vocab.clone_from(from);
+        return graph.clone();
+    }
     let mut map = vec![LabelId::BLANK; from.len()];
     for (i, slot) in map.iter_mut().enumerate() {
         let id = LabelId(i as u32);
@@ -446,6 +455,60 @@ mod tests {
                 session.text(rebased.graph().label(n)),
                 own.text(g.graph().label(n))
             );
+        }
+    }
+
+    /// Rebasing into an empty vocabulary (the copying shortcut) and
+    /// into a non-empty one (the interning path) both agree with
+    /// interning `from` label by label.
+    #[test]
+    fn rebase_matches_label_by_label_interning() {
+        let mut own = Vocab::new();
+        let g = {
+            let mut b = RdfGraphBuilder::new(&mut own);
+            b.uub("ss", "address", "b1");
+            b.bul("b1", "zip", "EH8");
+            b.uul("ed-uni", "city", "Edinburgh");
+            b.bul("b2", "city", "Edinburgh");
+            b.uul("zip", "label", "zip");
+            b.finish()
+        };
+        let by_label = |vocab: &mut Vocab| -> Vec<LabelId> {
+            (0..own.len())
+                .map(|i| {
+                    let id = LabelId(i as u32);
+                    match own.kind(id) {
+                        LabelKind::Blank => LabelId::BLANK,
+                        LabelKind::Uri => vocab.uri(own.text(id)),
+                        LabelKind::Literal => vocab.literal(own.text(id)),
+                    }
+                })
+                .collect()
+        };
+        let mut seeded = Vocab::new();
+        seeded.literal("unrelated");
+        seeded.uri("zip");
+        for start in [Vocab::new(), seeded] {
+            let mut rebased_vocab = start.clone();
+            let rebased = rebase_into(&mut rebased_vocab, &own, &g);
+            let mut want_vocab = start;
+            let map = by_label(&mut want_vocab);
+            let want: Vec<LabelId> = g
+                .graph()
+                .labels_raw()
+                .iter()
+                .map(|l| map[l.index()])
+                .collect();
+            assert_eq!(rebased.graph().labels_raw(), &want[..]);
+            assert_eq!(rebased.graph().kinds_raw(), g.graph().kinds_raw());
+            assert_eq!(rebased.graph().triples(), g.graph().triples());
+            assert_eq!(rebased.blank_names(), g.blank_names());
+            assert_eq!(rebased_vocab.len(), want_vocab.len());
+            for i in 0..want_vocab.len() {
+                let id = LabelId(i as u32);
+                assert_eq!(rebased_vocab.kind(id), want_vocab.kind(id));
+                assert_eq!(rebased_vocab.text(id), want_vocab.text(id));
+            }
         }
     }
 

@@ -21,6 +21,8 @@ pub enum FieldValue {
     F64(f64),
     /// String, emitted with JSON escaping.
     Str(String),
+    /// Boolean, emitted as `true` / `false`.
+    Bool(bool),
 }
 
 impl FieldValue {
@@ -41,6 +43,9 @@ impl FieldValue {
                 out.push('"');
                 out.push_str(&escape(s));
                 out.push('"');
+            }
+            FieldValue::Bool(v) => {
+                let _ = write!(out, "{v}");
             }
         }
     }
@@ -84,6 +89,11 @@ impl From<&str> for FieldValue {
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
         FieldValue::Str(v)
+    }
+}
+impl From<bool> for FieldValue {
+    fn from(v: bool) -> Self {
+        FieldValue::Bool(v)
     }
 }
 

@@ -1,16 +1,22 @@
-//! CRC-32 (IEEE 802.3 polynomial), table-driven.
+//! CRC-32 (IEEE 802.3 polynomial), slice-by-8 table-driven.
 //!
 //! Every section payload of a `.rdfb` container is checksummed so that
 //! bit rot or a partial write is detected at load time instead of
 //! surfacing as a silently wrong graph. CRC-32 is implemented locally
 //! because the offline dependency set carries no `crc` crate.
+//!
+//! The slice-by-8 scheme folds eight input bytes per step through eight
+//! derived tables instead of one byte through one table; the values are
+//! those of the plain bytewise algorithm, bit for bit.
 
 /// Reflected polynomial of CRC-32/ISO-HDLC (zlib, PNG, Ethernet).
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables, built at compile time. `TABLES[0]` is the
+/// bytewise table; `TABLES[k][b]` is the register update for byte `b`
+/// followed by `k` zero bytes.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -19,17 +25,41 @@ const TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 of `data` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = u32::MAX;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     crc ^ u32::MAX
 }
@@ -37,6 +67,35 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The plain bytewise algorithm, one table lookup per byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &byte in data {
+            crc = (crc >> 8)
+                ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize];
+        }
+        crc ^ u32::MAX
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Slice-by-8 equals the bytewise reference for every length up
+        /// to 257 at every start offset modulo 8 (unaligned slices).
+        #[test]
+        fn slice_by_8_matches_bytewise(
+            data in proptest::collection::vec(any::<u8>(), 265..=265)
+        ) {
+            for start in 0..8 {
+                for len in 0..=257 {
+                    let slice = &data[start..start + len];
+                    prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+                }
+            }
+        }
+    }
 
     #[test]
     fn known_vectors() {

@@ -37,8 +37,10 @@ pub fn write_dict(
 }
 
 /// Decode a dictionary section body into a fresh [`Vocab`] (dense ids,
-/// blank at 0). Counts and lengths are untrusted: allocation is capped
-/// by the bytes actually present, and all arithmetic is checked.
+/// blank at 0). Each text is validated as UTF-8 in place and copied once,
+/// straight into the vocabulary's arena. Counts and lengths are
+/// untrusted: allocation is capped by the bytes actually present, and all
+/// arithmetic is checked.
 pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
     let label_count = read_varint_usize(buf, pos)?;
     if label_count == 0 {
@@ -48,11 +50,9 @@ pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
     }
     // Each entry occupies >= 2 payload bytes; never reserve more than
     // the payload could possibly hold, however large the count claims.
-    let cap = label_count.min(1 + (buf.len() - *pos) / 2);
-    let mut kinds = Vec::with_capacity(cap);
-    let mut texts = Vec::with_capacity(cap);
-    kinds.push(LabelKind::Blank);
-    texts.push(String::new());
+    let remaining = buf.len() - *pos;
+    let cap = (label_count - 1).min(remaining / 2);
+    let mut vocab = Vocab::with_capacity(cap, remaining);
     for _ in 1..label_count {
         let kind = match buf.get(*pos) {
             Some(1) => LabelKind::Uri,
@@ -69,11 +69,30 @@ pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
             }
         };
         *pos += 1;
-        texts.push(read_string(buf, pos, "dictionary text")?);
-        kinds.push(kind);
+        let text = read_str(buf, pos, "dictionary text")?;
+        if !vocab.push_unique(kind, text) {
+            return Err(StoreError::Corrupt(
+                "duplicate label text within a namespace".into(),
+            ));
+        }
     }
-    Vocab::from_raw_parts(kinds, texts)
-        .map_err(|e| StoreError::Corrupt(e.into()))
+    Ok(vocab)
+}
+
+/// Borrow a varint length-prefixed UTF-8 string with checked bounds.
+fn read_str<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> Result<&'a str, StoreError> {
+    let len = read_varint_usize(buf, pos)?;
+    let end = pos
+        .checked_add(len)
+        .ok_or(StoreError::Truncated { what })?;
+    let bytes = buf.get(*pos..end).ok_or(StoreError::Truncated { what })?;
+    *pos = end;
+    std::str::from_utf8(bytes)
+        .map_err(|_| StoreError::Corrupt(format!("{what} is not UTF-8")))
 }
 
 /// Read a varint length-prefixed UTF-8 string with checked bounds.
@@ -82,14 +101,7 @@ pub fn read_string(
     pos: &mut usize,
     what: &'static str,
 ) -> Result<String, StoreError> {
-    let len = read_varint_usize(buf, pos)?;
-    let end = pos
-        .checked_add(len)
-        .ok_or(StoreError::Truncated { what })?;
-    let bytes = buf.get(*pos..end).ok_or(StoreError::Truncated { what })?;
-    *pos = end;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| StoreError::Corrupt(format!("{what} is not UTF-8")))
+    read_str(buf, pos, what).map(str::to_owned)
 }
 
 #[cfg(test)]
@@ -109,6 +121,22 @@ mod tests {
         assert_eq!(v2.len(), 3);
         assert_eq!(v2.find_uri("http://e.org/x"), Some(LabelId(1)));
         assert_eq!(v2.find_literal("a literal"), Some(LabelId(2)));
+    }
+
+    #[test]
+    fn duplicate_entry_is_corrupt() {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 4);
+        for (tag, text) in [(1u8, "x"), (2, "x"), (1, "x")] {
+            buf.push(tag);
+            write_varint(&mut buf, text.len() as u64);
+            buf.extend_from_slice(text.as_bytes());
+        }
+        let mut pos = 0;
+        assert!(matches!(
+            read_dict(&buf, &mut pos),
+            Err(StoreError::Corrupt(msg)) if msg.contains("duplicate")
+        ));
     }
 
     #[test]
