@@ -3,47 +3,49 @@
 //! Every alignment method of §3 bottoms out in iterated
 //! `BisimRefine*_X(λ)` rounds, and within one round the recoloring
 //! `recolor_λ(n)` of equation 1 depends only on the *previous*
-//! partition — rounds are embarrassingly parallel over nodes. The
-//! engine runs a whole fixpoint as one SPMD gang: worker threads are
-//! spawned **once per run** (not per round) on [`std::thread::scope`]
-//! and advance through the rounds together, separated by
-//! [`std::sync::Barrier`]s, so per-round overhead is three barrier
-//! waits instead of repeated thread spawns. Each round has two phases:
+//! partition — rounds are embarrassingly parallel over nodes. Each
+//! round has two phases:
 //!
-//! 1. **Signature phase** — every worker computes the 128-bit
-//!    signatures for its chunk of the node range, reusing a per-worker
-//!    pair buffer, and bins `(node, signature)` by shard (the
-//!    signature's high bits);
-//! 2. **Canonicalisation phase** — worker `s` interns exactly shard
-//!    `s`'s keys into its private hash map (shards partition the key
-//!    space, so no synchronisation is needed), recording the first
-//!    node index at which each distinct key occurs; the round leader
-//!    then merges the shards' first-occurrence lists into a
-//!    deterministic dense renumbering ordered by first occurrence and
-//!    scatters the final colors.
+//! 1. **Signature phase** — every node's `RoundKey` is written into
+//!    a reused key column. Worker threads fill disjoint chunks of it
+//!    ([`rdf_par::scoped_map`] over [`rdf_par::chunk_ranges`], one
+//!    `&mut` slice and one pair buffer per worker);
+//! 2. **Canonicalisation phase** — one pass on the calling thread, in
+//!    node order, turns keys into dense color ids through a
+//!    class-indexed canonicaliser (`Canon`).
 //!
-//! Because first-occurrence numbering is exactly what the sequential
-//! single-map loop produces, the output partition is **bit-identical**
-//! for every thread count — `--threads 1` and `--threads 8` give the
-//! same dense color vector, and all results are reproducible. Workers
-//! exchange data only at barriers, through per-worker `RwLock` slots
-//! that are write-locked by their owner in one phase and read by the
-//! others in the next; no atomicity on shared arrays, no `unsafe`.
+//! On one thread without a recorder the two phases fuse into one loop
+//! (signature, then intern, per node) and no key column is built.
 //!
-//! On one thread the engine takes a plain sequential path whose
-//! interning map and pair buffer live in the engine and are reused
-//! round to round *and* run to run — the allocation-churn fix for the
-//! old free-standing `bisim_refine_step` loop, which rebuilt both every
-//! round. The thin [`crate::refine::bisim_refine_step`] wrapper remains
-//! for API compatibility.
+//! **Why the numbering is deterministic.** Equation 1 puts the previous
+//! color into every new color, so a round only splits classes: every
+//! signature function mixes the previous color into `Recolored`, and
+//! `Kept(c)` *is* the previous color. Equal keys therefore always share
+//! a previous class (barring a 128-bit signature collision, which the
+//! reference's "changed iff the class count grew" rule already assumes
+//! away). `Canon` exploits that: per previous class it remembers the
+//! first key seen and the id it got, and only a key that differs from
+//! its class's first key goes to a hash map. Ids are handed out in node
+//! order on first occurrence — exactly the numbering of the sequential
+//! reference's single interning map
+//! ([`crate::refine::reference_refine_step`]) — so the output partition
+//! is **bit-identical** for every thread count, and shared data is
+//! only ever written through disjoint `&mut` slices; no locks, no
+//! atomics on shared arrays, no `unsafe`.
+//!
+//! The canonicaliser, the key column and the per-worker pair buffers
+//! live in the engine and are reused round to round *and* run to run.
+//! The thin [`crate::refine::bisim_refine_step`] wrapper remains for
+//! API compatibility.
 
 use crate::partition::{ColorId, Partition};
 use crate::refine::RefineOutcome;
 use rdf_model::hash::mix64;
 use rdf_model::{FxHashMap, NodeId, OutColumns, TripleGraph};
-use rdf_obs::{Recorder, SpanGuard};
-use rdf_par::{chunk_ranges, Threads, TimedBarrier};
-use std::sync::{Arc, RwLock};
+use rdf_obs::Recorder;
+use rdf_par::{chunk_ranges, scoped_map, Threads};
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Multiplier for the primary signature stream.
@@ -78,42 +80,69 @@ pub(crate) fn recolor_signature(prev: u32, pairs: &[(u32, u32)]) -> (u64, u64) {
     (h1, h2)
 }
 
-/// Shard owning a key: the signature's high bits reduced to the shard
-/// count. A deterministic function of the key alone, so every worker
-/// agrees on ownership without communication.
-#[inline]
-fn shard_of(key: &RoundKey, shards: usize) -> usize {
-    let h = match *key {
-        // Kept colors are small dense integers; mix them so the high
-        // bits spread. (Kept and Recolored keys can never collide: the
-        // enum discriminant is part of the key.)
-        RoundKey::Kept(c) => mix64(0x4B45_5054 ^ ((c as u64) << 17)),
-        RoundKey::Recolored(h1, _) => h1,
-    };
-    ((h >> 32) as usize) % shards
-}
-
-/// One worker's signature-phase output: for each shard, the
-/// `(node, key)` pairs that shard owns, in ascending node order.
-type ShardBins = Vec<Vec<(u32, RoundKey)>>;
-
-/// Per-shard interning output, handed from the canonicalisation
-/// workers to the round leader through an `RwLock` slot.
+/// Class-indexed canonicaliser: dense first-occurrence ids for one
+/// round's keys, given each key's previous class.
+///
+/// Fed `(prev, key)` in node order, it returns the id a single
+/// first-occurrence interning map would return, provided equal keys
+/// share a previous class (see the module docs). The common case — a
+/// class that does not split, or a node carrying its class's first key
+/// — costs one array probe and one key comparison; only the second and
+/// later distinct keys of a splitting class touch the hash map.
 #[derive(Debug, Default)]
-struct InternOut {
-    /// First-occurrence node index of each distinct key, ascending.
-    firsts: Vec<u32>,
-    /// Local id of every binned node, in shard scan order.
-    locals: Vec<u32>,
+pub(crate) struct Canon {
+    /// Per previous class: the id of its first key, `u32::MAX` if the
+    /// class has not been seen this round.
+    first_id: Vec<u32>,
+    /// Per previous class: its first key (meaningful once seen).
+    first_key: Vec<RoundKey>,
+    /// Ids of every other key of a splitting class.
+    overflow: FxHashMap<RoundKey, u32>,
+    /// The next id to hand out (= distinct keys seen so far).
+    next: u32,
 }
 
-/// Round-to-round state shared by the worker gang.
-#[derive(Debug)]
-struct GangState {
-    partition: Partition,
-    rounds: usize,
-    last_changed: bool,
-    done: bool,
+impl Canon {
+    /// Start a round over a previous partition with `classes` classes.
+    pub(crate) fn reset(&mut self, classes: u32) {
+        let classes = classes as usize;
+        self.first_id.clear();
+        self.first_id.resize(classes, u32::MAX);
+        // Read only once `first_id` marks the class seen, so stale
+        // entries need no clearing.
+        if self.first_key.len() < classes {
+            self.first_key.resize(classes, RoundKey::Kept(0));
+        }
+        self.overflow.clear();
+        self.next = 0;
+    }
+
+    /// The id of `key`, whose node was in class `prev`.
+    #[inline]
+    pub(crate) fn intern(&mut self, prev: ColorId, key: RoundKey) -> ColorId {
+        let p = prev.index();
+        let id = self.first_id[p];
+        if id == u32::MAX {
+            let id = self.next;
+            self.next += 1;
+            self.first_id[p] = id;
+            self.first_key[p] = key;
+            ColorId(id)
+        } else if self.first_key[p] == key {
+            ColorId(id)
+        } else {
+            let next = &mut self.next;
+            ColorId(*self.overflow.entry(key).or_insert_with(|| {
+                *next += 1;
+                *next - 1
+            }))
+        }
+    }
+
+    /// Distinct keys interned since the last [`Canon::reset`].
+    pub(crate) fn classes(&self) -> u32 {
+        self.next
+    }
 }
 
 /// Reusable, deterministic, multi-threaded refinement engine.
@@ -148,11 +177,12 @@ pub struct RefineEngine {
     /// Instrumentation sink; [`Recorder::disabled`] by default, in
     /// which case every emission site reduces to one branch.
     recorder: Arc<Recorder>,
-    /// Sequential-path interning map, reused round to round and run to
-    /// run.
-    seq_map: FxHashMap<RoundKey, u32>,
-    /// Sequential-path pair buffer for equation 1's sorted pair set.
-    seq_buf: Vec<(u32, u32)>,
+    /// Class-indexed canonicaliser.
+    canon: Canon,
+    /// The round's key column (keyed path only).
+    keys: Vec<RoundKey>,
+    /// One pair buffer per worker for equation 1's sorted pair set.
+    bufs: Vec<Vec<(u32, u32)>>,
 }
 
 impl RefineEngine {
@@ -161,8 +191,9 @@ impl RefineEngine {
         RefineEngine {
             threads: threads.resolve(),
             recorder: Arc::new(Recorder::disabled()),
-            seq_map: FxHashMap::default(),
-            seq_buf: Vec::new(),
+            canon: Canon::default(),
+            keys: Vec::new(),
+            bufs: Vec::new(),
         }
     }
 
@@ -194,7 +225,8 @@ impl RefineEngine {
     /// stops changing (or `max_rounds` is hit). `sig` maps
     /// `(node, previous partition, scratch pair buffer)` to the node's
     /// [`RoundKey`] for the round; it must be a pure function of the
-    /// node and partition so rounds parallelise.
+    /// node and partition so rounds parallelise, and it must keep
+    /// classes apart (see [`RefineEngine::refine_fixpoint_custom`]).
     ///
     /// This is the engine's generic core; the bisimulation step and the
     /// §6 refinement variants all plug their signature function in
@@ -218,114 +250,93 @@ impl RefineEngine {
         let rec = Arc::clone(&self.recorder);
         let mut fix = rec.span("refine.fixpoint");
         let ranges = chunk_ranges(n, self.threads);
-        let workers = ranges.len();
-        let (partition, rounds, changed) = if workers == 1 {
-            self.run_sequential(n, initial, sig, max_rounds, &rec)
-        } else {
-            run_gang(n, initial, &sig, max_rounds, &ranges, &rec)
+        // The fused loop has no phase boundary to time, so a traced run
+        // materialises the key column even on one thread.
+        let keyed = ranges.len() > 1 || rec.enabled();
+        self.bufs.resize_with(ranges.len(), Vec::new);
+        let mut partition = initial;
+        let mut rounds = 0;
+        let changed = loop {
+            let mut sp = rec.span("refine.round");
+            let prev_num = partition.num_colors();
+            self.canon.reset(prev_num);
+            let (colors, phase_us) = if keyed {
+                let sig_start = Instant::now();
+                self.fill_keys(&partition, &sig, &ranges);
+                let sig_us = sig_start.elapsed().as_micros() as u64;
+                let canon_start = Instant::now();
+                let canon = &mut self.canon;
+                let colors: Vec<ColorId> = partition
+                    .colors()
+                    .iter()
+                    .zip(&self.keys)
+                    .map(|(&prev, &key)| canon.intern(prev, key))
+                    .collect();
+                let canon_us = canon_start.elapsed().as_micros() as u64;
+                (colors, Some((sig_us, canon_us)))
+            } else {
+                let canon = &mut self.canon;
+                let buf = &mut self.bufs[0];
+                let colors: Vec<ColorId> = partition
+                    .colors()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &prev)| {
+                        canon.intern(prev, sig(i, &partition, buf))
+                    })
+                    .collect();
+                (colors, None)
+            };
+            let new_num = self.canon.classes();
+            let changed = new_num != prev_num;
+            partition = Partition::from_dense(colors, new_num);
+            rounds += 1;
+            if sp.enabled() {
+                sp.field("round", rounds);
+                sp.field("classes", new_num);
+                sp.field("splits", new_num.saturating_sub(prev_num));
+                if let Some((sig_us, canon_us)) = phase_us {
+                    sp.field("sig_us", sig_us);
+                    sp.field("canon_us", canon_us);
+                }
+            }
+            drop(sp);
+            if !changed || Some(rounds) == max_rounds {
+                break changed;
+            }
         };
         if fix.enabled() {
             fix.field("rounds", rounds);
             fix.field("classes", partition.num_colors());
             fix.field("nodes", n);
-            fix.field("threads", workers);
+            fix.field("threads", ranges.len());
         }
         (partition, rounds, changed)
     }
 
-    /// The single-worker path: one interning map, dense ids straight
-    /// from insertion order (identical numbering to the parallel path
-    /// by construction), scratch reused across rounds and runs.
-    fn run_sequential<S>(
+    /// The signature phase: every worker writes the keys of its node
+    /// range into its own slice of the key column.
+    fn fill_keys<S>(
         &mut self,
-        n: usize,
-        initial: Partition,
-        sig: S,
-        max_rounds: Option<usize>,
-        rec: &Recorder,
-    ) -> (Partition, usize, bool)
-    where
-        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey,
+        partition: &Partition,
+        sig: &S,
+        ranges: &[Range<usize>],
+    ) where
+        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
     {
-        if rec.enabled() {
-            return self.run_sequential_traced(n, initial, sig, max_rounds, rec);
+        self.keys.resize(partition.len(), RoundKey::Kept(0));
+        let mut rest: &mut [RoundKey] = &mut self.keys;
+        let mut tasks = Vec::with_capacity(ranges.len());
+        for (range, buf) in ranges.iter().zip(self.bufs.iter_mut()) {
+            let (head, tail) = rest.split_at_mut(range.len());
+            rest = tail;
+            tasks.push((range.start, head, buf));
         }
-        let mut partition = initial;
-        let mut rounds = 0;
-        loop {
-            let map = &mut self.seq_map;
-            map.clear();
-            map.reserve(partition.num_colors() as usize + 16);
-            let mut colors = Vec::with_capacity(n);
-            for i in 0..n {
-                let key = sig(i, &partition, &mut self.seq_buf);
-                let next = map.len() as u32;
-                colors.push(ColorId(*map.entry(key).or_insert(next)));
+        scoped_map(tasks, |_, (start, keys, buf)| {
+            for (j, key) in keys.iter_mut().enumerate() {
+                *key = sig(start + j, partition, buf);
             }
-            let new_num = map.len() as u32;
-            let changed = new_num != partition.num_colors();
-            partition = Partition::from_dense(colors, new_num);
-            rounds += 1;
-            if !changed || Some(rounds) == max_rounds {
-                return (partition, rounds, changed);
-            }
-        }
-    }
-
-    /// The traced twin of the sequential loop. The fused
-    /// signature+intern loop above cannot time its two halves, so this
-    /// path materialises the round's key sequence first and interns it
-    /// second. Interning consumes the identical key sequence in the
-    /// identical order, so the dense numbering — and therefore the
-    /// output partition — is bit-identical to the fused loop; only the
-    /// phase boundary becomes observable.
-    fn run_sequential_traced<S>(
-        &mut self,
-        n: usize,
-        initial: Partition,
-        sig: S,
-        max_rounds: Option<usize>,
-        rec: &Recorder,
-    ) -> (Partition, usize, bool)
-    where
-        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey,
-    {
-        let mut partition = initial;
-        let mut rounds = 0;
-        let mut keys: Vec<RoundKey> = Vec::with_capacity(n);
-        loop {
-            let mut sp = rec.span("refine.round");
-            let prev_num = partition.num_colors();
-            let sig_start = Instant::now();
-            keys.clear();
-            for i in 0..n {
-                keys.push(sig(i, &partition, &mut self.seq_buf));
-            }
-            let sig_us = sig_start.elapsed().as_micros() as u64;
-            let canon_start = Instant::now();
-            let map = &mut self.seq_map;
-            map.clear();
-            map.reserve(prev_num as usize + 16);
-            let mut colors = Vec::with_capacity(n);
-            for &key in &keys {
-                let next = map.len() as u32;
-                colors.push(ColorId(*map.entry(key).or_insert(next)));
-            }
-            let new_num = map.len() as u32;
-            let canon_us = canon_start.elapsed().as_micros() as u64;
-            let changed = new_num != partition.num_colors();
-            partition = Partition::from_dense(colors, new_num);
-            rounds += 1;
-            sp.field("round", rounds);
-            sp.field("classes", new_num);
-            sp.field("splits", new_num.saturating_sub(prev_num));
-            sp.field("sig_us", sig_us);
-            sp.field("canon_us", canon_us);
-            drop(sp);
-            if !changed || Some(rounds) == max_rounds {
-                return (partition, rounds, changed);
-            }
-        }
+        });
     }
 
     /// Apply one refinement step `BisimRefine_X(λ)` (equation 2) over a
@@ -338,10 +349,8 @@ impl RefineEngine {
         in_x: &[bool],
     ) -> (Partition, bool) {
         let n = partition.len();
-        // Real asserts, not debug: a length mismatch detected inside a
-        // gang worker would panic past a `Barrier` and deadlock the
-        // remaining workers, so reject bad input on the calling thread
-        // before any thread spawns.
+        // Real asserts, not debug: reject bad input on the calling
+        // thread before any worker spawns.
         assert_eq!(in_x.len(), n, "in_x length != partition length");
         assert_eq!(cols.offsets().len(), n + 1, "column view/partition mismatch");
         let (next, _, changed) =
@@ -372,8 +381,7 @@ impl RefineEngine {
         in_x: &[bool],
     ) -> (Partition, usize) {
         let n = initial.len();
-        // See refine_step_columns: validate on the calling thread so no
-        // gang worker can panic mid-round and strand the barrier.
+        // See refine_step_columns: validate on the calling thread.
         assert_eq!(in_x.len(), n, "in_x length != partition length");
         assert_eq!(cols.offsets().len(), n + 1, "column view/partition mismatch");
         let (partition, rounds, _) =
@@ -414,6 +422,13 @@ impl RefineEngine {
     /// the entry point for the §6 refinement variants (context- and
     /// key-restricted recoloring), which share the canonicalisation
     /// machinery but hash different neighbourhoods.
+    ///
+    /// Contract: `sig` must only split classes. A recolored node's key
+    /// must mix in its previous color, and a kept node's key must be
+    /// `RoundKey::Kept` of its previous color, so that equal keys
+    /// always come from the same previous class. The class-indexed
+    /// canonicaliser relies on this to reproduce first-occurrence
+    /// numbering (see the module docs).
     pub(crate) fn refine_fixpoint_custom<S>(
         &mut self,
         n: usize,
@@ -493,198 +508,10 @@ fn bisim_sig<'a>(
     }
 }
 
-/// The parallel fixpoint: one scoped worker gang for the whole run.
-///
-/// Workers proceed in lockstep through three barriers per round:
-/// signatures + shard binning → shard interning → leader merge/scatter.
-/// Data crosses thread boundaries only through the `RwLock` slots, each
-/// write-locked by its owning worker in one phase and read-locked by
-/// consumers in the next (the barriers guarantee the locks are never
-/// contended).
-fn run_gang<S>(
-    n: usize,
-    initial: Partition,
-    sig: &S,
-    max_rounds: Option<usize>,
-    ranges: &[std::ops::Range<usize>],
-    rec: &Recorder,
-) -> (Partition, usize, bool)
-where
-    S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
-{
-    let workers = ranges.len();
-    let shards = workers;
-    let barrier = TimedBarrier::new(workers);
-    // bins[w][s]: worker w's (node, key) pairs owned by shard s.
-    let bins: Vec<RwLock<ShardBins>> = (0..workers)
-        .map(|_| RwLock::new(vec![Vec::new(); shards]))
-        .collect();
-    let interns: Vec<RwLock<InternOut>> =
-        (0..shards).map(|_| RwLock::new(InternOut::default())).collect();
-    let state = RwLock::new(GangState {
-        partition: initial,
-        rounds: 0,
-        last_changed: false,
-        done: false,
-    });
-
-    let work = |w: usize| {
-        let range = ranges[w].clone();
-        let mut buf: Vec<(u32, u32)> = Vec::new();
-        let mut map: FxHashMap<RoundKey, u32> = FxHashMap::default();
-        // Leader-only merge scratch, reused across rounds.
-        let mut merge: Vec<(u32, u32)> = Vec::new();
-        let mut ranks: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        loop {
-            // Leader-only per-round span; it must not be created when
-            // the done flag is already set (no round happens then), so
-            // it is hoisted out of the phase-A block and filled in
-            // during phase C.
-            let mut sp: Option<SpanGuard<'_>> = None;
-            let mut round_start: Option<Instant> = None;
-            // Phase A: signatures for this worker's node chunk, binned
-            // by owning shard.
-            {
-                let st = state.read().expect("gang state readable");
-                if st.done {
-                    return;
-                }
-                if w == 0 {
-                    let guard = rec.span("refine.round");
-                    if guard.enabled() {
-                        round_start = Some(Instant::now());
-                    }
-                    sp = Some(guard);
-                }
-                let mut my_bins =
-                    bins[w].write().expect("own bins writable");
-                for b in my_bins.iter_mut() {
-                    b.clear();
-                }
-                for i in range.clone() {
-                    let key = sig(i, &st.partition, &mut buf);
-                    my_bins[shard_of(&key, shards)].push((i as u32, key));
-                }
-            }
-            barrier.wait_timed(rec, w);
-            // On the leader, wall-clock time from round start to here
-            // is the gang-wide signature phase (the barrier aligns all
-            // workers); the remainder of the round is canonicalisation.
-            let sig_done = round_start.map(|start| {
-                (start.elapsed().as_micros() as u64, Instant::now())
-            });
-
-            // Phase B: intern shard `w`. Walking the workers' bins in
-            // worker order visits nodes in ascending order (chunks are
-            // ascending ranges), so each key's recorded first
-            // occurrence is its global first occurrence.
-            {
-                map.clear();
-                let mut out =
-                    interns[w].write().expect("own intern slot writable");
-                out.firsts.clear();
-                out.locals.clear();
-                for slot in &bins {
-                    let worker_bins = slot.read().expect("bins readable");
-                    for &(i, key) in &worker_bins[w] {
-                        let next = map.len() as u32;
-                        let local = *map.entry(key).or_insert_with(|| {
-                            out.firsts.push(i);
-                            next
-                        });
-                        out.locals.push(local);
-                    }
-                }
-            }
-            barrier.wait_timed(rec, w);
-
-            // Phase C: the leader renumbers densely by first occurrence
-            // and scatters the colors.
-            if w == 0 {
-                let mut st = state.write().expect("gang state writable");
-                merge.clear();
-                let intern_guards: Vec<_> = interns
-                    .iter()
-                    .map(|s| s.read().expect("intern slots readable"))
-                    .collect();
-                for (s, out) in intern_guards.iter().enumerate() {
-                    for &i in &out.firsts {
-                        merge.push((i, s as u32));
-                    }
-                }
-                merge.sort_unstable();
-                for r in ranks.iter_mut() {
-                    r.clear();
-                }
-                for (rank, &(_, s)) in merge.iter().enumerate() {
-                    // Within one shard, first-occurrence indices ascend
-                    // in insertion (local-id) order, so pushing in
-                    // global sorted order fills `ranks[s]` positionally.
-                    ranks[s as usize].push(rank as u32);
-                }
-                let new_num = merge.len() as u32;
-
-                let mut colors = vec![ColorId(0); n];
-                let bin_guards: Vec<_> = bins
-                    .iter()
-                    .map(|s| s.read().expect("bins readable"))
-                    .collect();
-                for (s, out) in intern_guards.iter().enumerate() {
-                    let shard_ranks = &ranks[s];
-                    let mut locals = out.locals.iter();
-                    for worker_bins in &bin_guards {
-                        for &(i, _) in &worker_bins[s] {
-                            let local =
-                                *locals.next().expect("local per node");
-                            colors[i as usize] =
-                                ColorId(shard_ranks[local as usize]);
-                        }
-                    }
-                }
-
-                let prev_num = st.partition.num_colors();
-                let changed = new_num != prev_num;
-                st.partition = Partition::from_dense(colors, new_num);
-                st.rounds += 1;
-                st.last_changed = changed;
-                if !changed || Some(st.rounds) == max_rounds {
-                    st.done = true;
-                }
-                if let Some(sp) = sp.as_mut() {
-                    sp.field("round", st.rounds);
-                    sp.field("classes", new_num);
-                    sp.field("splits", new_num.saturating_sub(prev_num));
-                    if let Some((sig_us, canon_start)) = sig_done {
-                        sp.field("sig_us", sig_us);
-                        sp.field(
-                            "canon_us",
-                            canon_start.elapsed().as_micros() as u64,
-                        );
-                    }
-                }
-            }
-            // The leader's span drops (and emits) here, covering the
-            // full round; it deliberately excludes the final barrier.
-            drop(sp);
-            barrier.wait_timed(rec, w);
-        }
-    };
-
-    std::thread::scope(|scope| {
-        let work = &work;
-        for w in 1..workers {
-            scope.spawn(move || work(w));
-        }
-        work(0);
-    });
-
-    let st = state.into_inner().expect("gang finished");
-    (st.partition, st.rounds, st.last_changed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rdf_model::{GraphBuilder, LabelId, Vocab};
 
     /// A small chain/diamond graph with blanks, literals and URIs.
@@ -705,6 +532,114 @@ mod tests {
         b.add_triple(b2, q, lit);
         b.add_triple(b3, q, b1);
         b.freeze()
+    }
+
+    /// A class-scoped key: variant 0 is `Kept(class)`, any other
+    /// variant a `Recolored` signature that mixes in the class, as every
+    /// engine signature does.
+    fn scoped_key(class: u32, variant: u32) -> RoundKey {
+        if variant == 0 {
+            RoundKey::Kept(class)
+        } else {
+            let h = mix64(((class as u64) << 32) | variant as u64);
+            RoundKey::Recolored(h, variant as u64)
+        }
+    }
+
+    /// The sequential reference's numbering: one first-occurrence map.
+    fn model_ids(seq: &[(u32, RoundKey)]) -> (Vec<ColorId>, u32) {
+        let mut map: FxHashMap<RoundKey, u32> = FxHashMap::default();
+        let ids = seq
+            .iter()
+            .map(|&(_, key)| {
+                let next = map.len() as u32;
+                ColorId(*map.entry(key).or_insert(next))
+            })
+            .collect();
+        (ids, map.len() as u32)
+    }
+
+    fn canon_ids(
+        canon: &mut Canon,
+        classes: u32,
+        seq: &[(u32, RoundKey)],
+    ) -> (Vec<ColorId>, u32) {
+        canon.reset(classes);
+        let ids = seq
+            .iter()
+            .map(|&(prev, key)| canon.intern(ColorId(prev), key))
+            .collect();
+        (ids, canon.classes())
+    }
+
+    const CLASSES: u32 = 6;
+
+    /// Random round: each class splits into `1 + split` keys (one to
+    /// four, `Kept` and `Recolored` mixed), drawn in random order, so
+    /// overflow keys recur before and after their class's first key
+    /// does.
+    fn arb_round() -> impl Strategy<Value = Vec<(u32, RoundKey)>> {
+        (
+            proptest::collection::vec(0u32..4, CLASSES as usize),
+            proptest::collection::vec((0u32..CLASSES, 0u32..64), 0..96),
+        )
+            .prop_map(|(splits, picks)| {
+                picks
+                    .into_iter()
+                    .map(|(class, r)| {
+                        let keys = splits[class as usize] + 1;
+                        (class, scoped_key(class, r % keys))
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Canon` hands out the model's ids and count, also when one
+        /// canonicaliser is reused for a second round.
+        #[test]
+        fn canon_matches_first_occurrence_model(
+            first in arb_round(),
+            second in arb_round(),
+        ) {
+            let mut canon = Canon::default();
+            for seq in [&first, &second] {
+                prop_assert_eq!(
+                    canon_ids(&mut canon, CLASSES, seq),
+                    model_ids(seq)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn canon_matches_model_on_every_split_shape() {
+        let k = scoped_key;
+        // Class 0 never splits; class 1 splits in two with `Kept` first;
+        // class 2 splits in three, its overflow key seen before and
+        // after the first key recurs; class 3 is `Recolored` first and
+        // `Kept` later.
+        let seq = [
+            (0, k(0, 0)),
+            (1, k(1, 0)),
+            (2, k(2, 1)),
+            (2, k(2, 2)),
+            (1, k(1, 1)),
+            (2, k(2, 1)),
+            (0, k(0, 0)),
+            (2, k(2, 2)),
+            (3, k(3, 5)),
+            (2, k(2, 3)),
+            (3, k(3, 0)),
+            (1, k(1, 1)),
+            (3, k(3, 5)),
+        ];
+        let (ids, next) = canon_ids(&mut Canon::default(), 4, &seq);
+        assert_eq!((ids.clone(), next), model_ids(&seq));
+        let raw: Vec<u32> = ids.iter().map(|c| c.0).collect();
+        assert_eq!(raw, [0, 1, 2, 3, 4, 2, 0, 3, 5, 6, 7, 4, 5]);
     }
 
     #[test]

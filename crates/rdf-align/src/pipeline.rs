@@ -112,8 +112,9 @@ pub fn align_with(
 }
 
 /// As [`align_with`], with an instrumentation recorder threaded through
-/// the refinement engine (per-round spans, barrier-wait counters) and
-/// the pipeline stages (`align.union`, `align.metrics` spans).
+/// the refinement engine (per-round spans with the signature and
+/// canonicalisation split) and the pipeline stages (`align.union`,
+/// `align.metrics` spans).
 ///
 /// Tracing is inert: the returned alignment is bit-identical to
 /// [`align_with`] for every recorder.

@@ -21,21 +21,22 @@
 //!    in node id, because shard runs are subject-sorted) are k-way
 //!    merged in global node order; nodes absent from every shard (no
 //!    outbound edges) get their key computed inline from the color
-//!    vector alone. Interning keys in ascending node order with dense
-//!    ids from insertion order is *exactly* the sequential reference
-//!    numbering — so the output partition is **bit-identical** to the
-//!    in-RAM engine (and the sequential reference) for every shard
-//!    count and every thread count.
+//!    vector alone. The keys go through the in-RAM engine's
+//!    class-indexed canonicaliser in ascending node order, which hands
+//!    out *exactly* the sequential reference numbering — so the output
+//!    partition is **bit-identical** to the in-RAM engine (and the
+//!    sequential reference) for every shard count and every thread
+//!    count.
 //!
 //! Shard loads may fail (disk corruption, missing files), so every
 //! entry point returns a `Result`; errors are deterministic — the
 //! lowest-indexed failing shard wins at every thread count, via
 //! [`rdf_par::scoped_try_map`].
 
-use crate::engine::{recolor_signature, RoundKey};
+use crate::engine::{recolor_signature, Canon, RoundKey};
 use crate::partition::{ColorId, Partition};
 use crate::refine::RefineOutcome;
-use rdf_model::{FxHashMap, LabelId, ShardColumns, ShardColumnsSource};
+use rdf_model::{LabelId, ShardColumns, ShardColumnsSource};
 use rdf_obs::Recorder;
 use rdf_par::{chunk_ranges, scoped_try_map, Threads};
 use std::fmt;
@@ -91,8 +92,8 @@ type Spill = (Vec<(u32, RoundKey)>, usize);
 /// shard count × thread count.
 ///
 /// Construct once per pipeline run and feed it every fixpoint, like
-/// the in-RAM engine; the canonicalisation intern map is reused across
-/// rounds and runs.
+/// the in-RAM engine; the canonicaliser is reused across rounds and
+/// runs.
 ///
 /// ```
 /// use rdf_align::{RefineEngine, StreamingRefineEngine, Threads};
@@ -125,9 +126,9 @@ pub struct StreamingRefineEngine {
     /// Instrumentation sink; [`Recorder::disabled`] by default, in
     /// which case every emission site reduces to one branch.
     recorder: Arc<Recorder>,
-    /// Canonicalisation intern map, reused round to round and run to
+    /// Class-indexed canonicaliser, reused round to round and run to
     /// run.
-    map: FxHashMap<RoundKey, u32>,
+    canon: Canon,
     /// Largest single-shard columns residency observed since
     /// construction.
     peak_shard_bytes: usize,
@@ -139,7 +140,7 @@ impl StreamingRefineEngine {
         StreamingRefineEngine {
             threads: threads.resolve(),
             recorder: Arc::new(Recorder::disabled()),
-            map: FxHashMap::default(),
+            canon: Canon::default(),
             peak_shard_bytes: 0,
         }
     }
@@ -340,8 +341,8 @@ impl StreamingRefineEngine {
 
     /// Phase 2: k-way merge the spilled buffers in ascending node
     /// order, computing edge-less nodes' keys inline from the color
-    /// vector, and intern with dense ids in first-occurrence order —
-    /// the sequential reference numbering.
+    /// vector, and canonicalise with dense ids in first-occurrence
+    /// order — the sequential reference numbering.
     fn canonicalise<E>(
         &mut self,
         n: usize,
@@ -350,13 +351,9 @@ impl StreamingRefineEngine {
         spills: Vec<Spill>,
     ) -> Result<(Vec<ColorId>, u32), StreamError<E>> {
         let prev = partition.colors();
-        let map = &mut self.map;
-        map.clear();
-        map.reserve(partition.num_colors() as usize + 16);
-        let mut intern = |key: RoundKey| {
-            let next = map.len() as u32;
-            ColorId(*map.entry(key).or_insert(next))
-        };
+        let canon = &mut self.canon;
+        canon.reset(partition.num_colors());
+        let mut intern = |i: usize, key: RoundKey| canon.intern(prev[i], key);
         // The key of a node no shard claimed: it has no outbound
         // edges, so equation 1 hashes an empty pair set.
         let gap_key = |i: usize| {
@@ -386,7 +383,7 @@ impl StreamingRefineEngine {
                 // No spilled entries left: the remaining nodes are all
                 // edge-less.
                 for i in colors.len()..n {
-                    colors.push(intern(gap_key(i)));
+                    colors.push(intern(i, gap_key(i)));
                 }
                 break;
             };
@@ -394,14 +391,13 @@ impl StreamingRefineEngine {
                 return Err(StreamError::Overlap { node });
             }
             for i in colors.len()..node as usize {
-                colors.push(intern(gap_key(i)));
+                colors.push(intern(i, gap_key(i)));
             }
             let (_, key) = heads[b].take().expect("selected head present");
-            colors.push(intern(key));
+            colors.push(intern(node as usize, key));
             heads[b] = cursors[b].next().copied();
         }
-        let new_num = map.len() as u32;
-        Ok((colors, new_num))
+        Ok((colors, self.canon.classes()))
     }
 }
 

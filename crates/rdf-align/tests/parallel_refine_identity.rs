@@ -16,8 +16,11 @@ use rdf_align::partition::unaligned_non_literals;
 use rdf_align::refine::{
     label_partition, reference_refine_fixpoint_mask, RefineOutcome,
 };
+use rdf_align::variants::{
+    context_refine_fixpoint_with, key_restricted_fixpoint_with, KeySpec,
+};
 use rdf_align::Threads;
-use rdf_model::{CombinedGraph, RdfGraph, RdfGraphBuilder, Vocab};
+use rdf_model::{CombinedGraph, NodeId, RdfGraph, RdfGraphBuilder, Vocab};
 
 /// A random pair of graph versions sharing a vocabulary: overlapping
 /// URI/blank/literal pools so some nodes align, some rename, some churn.
@@ -80,6 +83,31 @@ fn reference_hybrid_from(
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The §6 variants' usual input: the unaligned non-literals of the
+/// label partition, blanked out, refined as `X`.
+fn hybrid_input(
+    combined: &CombinedGraph,
+) -> (rdf_align::Partition, Vec<NodeId>) {
+    let base = label_partition(combined.graph());
+    let unaligned = unaligned_non_literals(&base, combined);
+    (blank_out(&base, &unaligned), unaligned)
+}
+
+/// Run a §6 variant at every thread count and require the 1-thread
+/// colors and rounds from all of them. The variants have no sequential
+/// reference, so the 1-thread engine is the baseline.
+fn assert_thread_identity(
+    run: impl Fn(&mut RefineEngine) -> RefineOutcome,
+) -> Result<(), String> {
+    let base = run(&mut RefineEngine::new(Threads::Fixed(1)));
+    for t in THREAD_COUNTS {
+        let out = run(&mut RefineEngine::new(Threads::Fixed(t)));
+        prop_assert_eq!(out.partition.colors(), base.partition.colors());
+        prop_assert_eq!(out.rounds, base.rounds);
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -167,5 +195,40 @@ proptest! {
             fresh.partition.colors()
         );
         prop_assert_eq!(first.rounds, second.rounds);
+    }
+
+    /// §6 context refinement (out- and in-neighbourhoods): identical
+    /// colors and rounds at every thread count.
+    #[test]
+    fn context_refinement_identical_across_threads(
+        (vocab, g1, g2) in arb_versions()
+    ) {
+        let c = CombinedGraph::union(&vocab, &g1, &g2);
+        let (initial, x) = hybrid_input(&c);
+        assert_thread_identity(|engine| {
+            context_refine_fixpoint_with(c.graph(), initial.clone(), &x, engine)
+        })?;
+    }
+
+    /// §6 key-restricted refinement (only `p0`/`p1` edges count):
+    /// identical colors and rounds at every thread count.
+    #[test]
+    fn key_restricted_refinement_identical_across_threads(
+        (vocab, g1, g2) in arb_versions()
+    ) {
+        let c = CombinedGraph::union(&vocab, &g1, &g2);
+        let key = KeySpec::new(
+            ["p0", "p1"].into_iter().filter_map(|p| vocab.find_uri(p)),
+        );
+        let (initial, x) = hybrid_input(&c);
+        assert_thread_identity(|engine| {
+            key_restricted_fixpoint_with(
+                c.graph(),
+                &key,
+                initial.clone(),
+                &x,
+                engine,
+            )
+        })?;
     }
 }

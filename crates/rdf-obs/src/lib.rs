@@ -1,11 +1,11 @@
 //! Structured tracing and metrics for the alignment pipeline.
 //!
 //! The workspace has three execution modes for the same fixpoint —
-//! sequential reference, gang-parallel [`RefineEngine`], shard-streaming
+//! sequential reference, parallel [`RefineEngine`], shard-streaming
 //! [`StreamingRefineEngine`] — whose *equivalence* is proven by the
 //! bit-identity suites but whose *behavior* (rounds, splits per round,
-//! signature vs. canonicalise time, barrier waits, shard I/O, peak
-//! residency) used to be invisible outside the bench binaries. This
+//! signature vs. canonicalise time, shard I/O, peak residency) used to
+//! be invisible outside the bench binaries. This
 //! crate makes that behavior observable without perturbing it:
 //!
 //! * [`Recorder`] — the instrumentation handle threaded through hot

@@ -28,10 +28,7 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Barrier, BarrierWaitResult, Mutex};
-use std::time::Instant;
-
-use rdf_obs::Recorder;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Environment variable consulted by [`Threads::Auto`]: set
 /// `RDF_THREADS=N` to cap the automatic thread count without touching
@@ -111,57 +108,6 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(start, len);
     out
-}
-
-/// A [`std::sync::Barrier`] whose waits can be attributed, per worker,
-/// to an observability counter.
-///
-/// SPMD gangs (the parallel refinement engine) synchronise with a few
-/// barrier waits per round; how long each worker idles at them is the
-/// load-imbalance signal the bench binaries could never see. When the
-/// recorder is enabled, [`TimedBarrier::wait_timed`] accumulates each
-/// worker's wait microseconds into the counter
-/// `par.barrier_wait_us.w<worker>`; when disabled it is exactly a plain
-/// barrier wait (one branch, no clock reads, no formatting).
-///
-/// Counters aggregate in the final run report only — no per-wait event
-/// is emitted, so trace event counts stay deterministic across thread
-/// counts.
-#[derive(Debug)]
-pub struct TimedBarrier {
-    inner: Barrier,
-}
-
-impl TimedBarrier {
-    /// A barrier for `n` workers.
-    pub fn new(n: usize) -> TimedBarrier {
-        TimedBarrier {
-            inner: Barrier::new(n),
-        }
-    }
-
-    /// Plain untimed wait.
-    pub fn wait(&self) -> BarrierWaitResult {
-        self.inner.wait()
-    }
-
-    /// Wait, attributing the time spent blocked to
-    /// `par.barrier_wait_us.w<worker>` on `rec` (no-op attribution when
-    /// the recorder is disabled).
-    pub fn wait_timed(
-        &self,
-        rec: &Recorder,
-        worker: usize,
-    ) -> BarrierWaitResult {
-        if !rec.enabled() {
-            return self.inner.wait();
-        }
-        let start = Instant::now();
-        let result = self.inner.wait();
-        let us = start.elapsed().as_micros() as u64;
-        rec.counter(&format!("par.barrier_wait_us.w{worker}")).add(us);
-        result
-    }
 }
 
 /// Run `f(index, task)` for every task, on scoped threads, and return
@@ -433,46 +379,6 @@ mod tests {
         let empty: Result<Vec<u32>, String> =
             scoped_try_map(Vec::<u32>::new(), |_, t| Ok(t));
         assert!(empty.unwrap().is_empty());
-    }
-
-    #[test]
-    fn timed_barrier_synchronises_and_attributes_waits() {
-        use rdf_obs::JsonlRecorder;
-        let workers = 4usize;
-        let barrier = TimedBarrier::new(workers);
-        let rec = Recorder::Jsonl(JsonlRecorder::to_writer(Box::new(
-            std::io::sink(),
-        )));
-        let null = Recorder::disabled();
-        let hits = Mutex::new(0usize);
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let barrier = &barrier;
-                let rec = &rec;
-                let null = &null;
-                let hits = &hits;
-                scope.spawn(move || {
-                    barrier.wait_timed(rec, w);
-                    *hits.lock().unwrap() += 1;
-                    barrier.wait_timed(null, w);
-                });
-            }
-            barrier.wait_timed(&rec, 0);
-            *hits.lock().unwrap() += 1;
-            barrier.wait_timed(&null, 0);
-        });
-        assert_eq!(*hits.lock().unwrap(), workers);
-        let report = rec.finish().unwrap().expect("jsonl report");
-        // Every worker's timed wait left a counter entry (possibly 0µs,
-        // but the entry itself must exist).
-        for w in 0..workers {
-            assert!(
-                report
-                    .counter(&format!("par.barrier_wait_us.w{w}"))
-                    .is_some(),
-                "missing barrier counter for worker {w}"
-            );
-        }
     }
 
     #[test]
