@@ -17,6 +17,19 @@
 //! On one thread without a recorder the two phases fuse into one loop
 //! (signature, then intern, per node) and no key column is built.
 //!
+//! **Two adjacency sources, one round driver.** The signature phase
+//! above walks resident grouped-CSR columns by node range. A
+//! [`rdf_model::ShardColumnsSource`] instead hands the adjacency out
+//! one shard at a time (the on-disk shards of a `.rdfm` store, or an
+//! in-memory range decomposition); its signature phase lives in
+//! [`crate::stream`] and scatters each shard's keys into the same key
+//! column. Both feed the same driver: the `Canon` reset, the
+//! `refine.round` / `refine.fixpoint` spans, the dense partition and
+//! the "class count grew" test are written once.
+//! [`RefineEngine::set_stream_shards`] routes
+//! [`RefineEngine::refine_fixpoint_mask`] through range shards of the
+//! resident graph, which is what `--streaming` selects.
+//!
 //! **Why the numbering is deterministic.** Equation 1 puts the previous
 //! color into every new color, so a round only splits classes: every
 //! signature function mixes the previous color into `Recolored`, and
@@ -29,9 +42,9 @@
 //! order on first occurrence — exactly the numbering of the sequential
 //! reference's single interning map
 //! ([`crate::refine::reference_refine_step`]) — so the output partition
-//! is **bit-identical** for every thread count, and shared data is
-//! only ever written through disjoint `&mut` slices; no locks, no
-//! atomics on shared arrays, no `unsafe`.
+//! is **bit-identical** for every thread count and every shard count,
+//! and shared data is only ever written through disjoint `&mut`
+//! slices; no locks, no atomics on shared arrays, no `unsafe`.
 //!
 //! The canonicaliser, the key column and the per-worker pair buffers
 //! live in the engine and are reused round to round *and* run to run.
@@ -41,7 +54,7 @@
 use crate::partition::{ColorId, Partition};
 use crate::refine::RefineOutcome;
 use rdf_model::hash::mix64;
-use rdf_model::{FxHashMap, NodeId, OutColumns, TripleGraph};
+use rdf_model::{FxHashMap, GraphShards, NodeId, OutColumns, TripleGraph};
 use rdf_obs::Recorder;
 use rdf_par::{chunk_ranges, scoped_map, Threads};
 use std::ops::Range;
@@ -78,6 +91,32 @@ pub(crate) fn recolor_signature(prev: u32, pairs: &[(u32, u32)]) -> (u64, u64) {
         h2 = (h2.rotate_left(9) ^ x).wrapping_mul(K2);
     }
     (h1, h2)
+}
+
+/// A node's round key under equation 2: `Kept` of its previous color
+/// outside `X`, else equation 1 over its outbound color `pairs`.
+/// Shared by both adjacency sources (and the shard path's edge-less
+/// nodes, with no pairs) so they cannot drift. `pairs` is only called
+/// for nodes in `X`: most nodes of a small-`X` round never touch their
+/// adjacency.
+#[inline]
+pub(crate) fn node_key<I: Iterator<Item = (u32, u32)>>(
+    in_x: bool,
+    prev: u32,
+    buf: &mut Vec<(u32, u32)>,
+    pairs: impl FnOnce() -> I,
+) -> RoundKey {
+    if !in_x {
+        return RoundKey::Kept(prev);
+    }
+    buf.clear();
+    buf.extend(pairs());
+    // Equation (1) uses a *set* of color pairs: sort + dedup gives the
+    // canonical sequence to hash.
+    buf.sort_unstable();
+    buf.dedup();
+    let (h1, h2) = recolor_signature(prev, buf);
+    RoundKey::Recolored(h1, h2)
 }
 
 /// Class-indexed canonicaliser: dense first-occurrence ids for one
@@ -145,15 +184,20 @@ impl Canon {
     }
 }
 
+/// One round's dense colors in node order, plus its signature and
+/// canonicalisation times in µs when the two phases ran apart.
+pub(crate) type RoundColors = (Vec<ColorId>, Option<(u64, u64)>);
+
 /// Reusable, deterministic, multi-threaded refinement engine.
 ///
 /// Construct once (per pipeline, CLI invocation, or benchmark) and feed
 /// it every fixpoint run. Output partitions are bit-identical for every
-/// thread count (see the module docs for why).
+/// thread count and every adjacency source (see the module docs for
+/// why).
 ///
 /// ```
 /// use rdf_align::{RefineEngine, Threads};
-/// use rdf_model::{RdfGraphBuilder, Vocab};
+/// use rdf_model::{GraphShards, RdfGraphBuilder, Vocab};
 ///
 /// let mut vocab = Vocab::new();
 /// let g = {
@@ -167,22 +211,38 @@ impl Canon {
 /// let out = engine.bisimulation(g.graph());
 /// let blanks = g.graph().blanks();
 /// assert!(out.partition.same_class(blanks[0], blanks[1]));
-/// // Determinism: any thread count produces the identical coloring.
+/// // Determinism: any thread count produces the identical coloring …
 /// let again = RefineEngine::new(Threads::Fixed(1)).bisimulation(g.graph());
 /// assert_eq!(out.partition.colors(), again.partition.colors());
+/// // … and so does a 2-shard decomposition streamed shard by shard.
+/// let shards = GraphShards::chunked(g.graph(), 2);
+/// let streamed = engine
+///     .bisimulation_shards(&shards, g.graph().labels_raw())
+///     .expect("in-memory shards cannot fail");
+/// assert_eq!(streamed.partition.colors(), out.partition.colors());
+/// assert_eq!(streamed.rounds, out.rounds);
 /// ```
 #[derive(Debug)]
 pub struct RefineEngine {
-    threads: usize,
+    pub(crate) threads: usize,
     /// Instrumentation sink; [`Recorder::disabled`] by default, in
     /// which case every emission site reduces to one branch.
-    recorder: Arc<Recorder>,
+    pub(crate) recorder: Arc<Recorder>,
+    /// `Some(k)`: [`RefineEngine::refine_fixpoint_mask`] streams its
+    /// graph through `k` in-memory range shards.
+    stream_shards: Option<usize>,
     /// Class-indexed canonicaliser.
     canon: Canon,
     /// The round's key column (keyed path only).
-    keys: Vec<RoundKey>,
+    pub(crate) keys: Vec<RoundKey>,
+    /// Shard path: whether some shard has supplied the node's key this
+    /// round.
+    pub(crate) claimed: Vec<bool>,
     /// One pair buffer per worker for equation 1's sorted pair set.
     bufs: Vec<Vec<(u32, u32)>>,
+    /// Shard path: the largest single-shard columns residency observed
+    /// since construction.
+    pub(crate) peak_shard_bytes: usize,
 }
 
 impl RefineEngine {
@@ -191,9 +251,12 @@ impl RefineEngine {
         RefineEngine {
             threads: threads.resolve(),
             recorder: Arc::new(Recorder::disabled()),
+            stream_shards: None,
             canon: Canon::default(),
             keys: Vec::new(),
+            claimed: Vec::new(),
             bufs: Vec::new(),
+            peak_shard_bytes: 0,
         }
     }
 
@@ -216,77 +279,54 @@ impl RefineEngine {
         self.recorder = recorder;
     }
 
+    /// With `Some(k)`, every [`RefineEngine::refine_fixpoint_mask`]
+    /// (and so every Deblank and Hybrid fixpoint and
+    /// [`RefineEngine::bisimulation`]) runs over
+    /// [`GraphShards::chunked`]`(g, k)` through the shard path: only
+    /// the color vector plus one shard's columns per worker are live
+    /// adjacency, instead of the whole graph's columns. The partition
+    /// is bit-identical either way, for every `k`. `None` (the
+    /// default) walks the resident columns.
+    pub fn set_stream_shards(&mut self, shards: Option<usize>) {
+        self.stream_shards = shards;
+    }
+
     /// The resolved worker count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Run canonicalised rounds from `initial` until the class count
-    /// stops changing (or `max_rounds` is hit). `sig` maps
-    /// `(node, previous partition, scratch pair buffer)` to the node's
-    /// [`RoundKey`] for the round; it must be a pure function of the
-    /// node and partition so rounds parallelise, and it must keep
-    /// classes apart (see [`RefineEngine::refine_fixpoint_custom`]).
+    /// The round driver shared by both adjacency sources: run rounds
+    /// from `initial` until the class count stops changing (or
+    /// `max_rounds` is hit). `round` produces one round's colors
+    /// through the engine's `Canon`, which the driver resets first.
+    /// `workers` and `shards` only feed the `refine.fixpoint` span
+    /// (and, for the shard path, the `stream.peak_shard_bytes` gauge).
     ///
-    /// This is the engine's generic core; the bisimulation step and the
-    /// §6 refinement variants all plug their signature function in
-    /// here. Returns the final partition, the number of rounds
-    /// executed, and whether the *last* round still changed the class
-    /// count (false at a certified fixpoint).
-    pub(crate) fn run<S>(
+    /// Returns the final partition, the number of rounds executed, and
+    /// whether the *last* round still changed the class count (false
+    /// at a certified fixpoint).
+    pub(crate) fn run<E>(
         &mut self,
-        n: usize,
         initial: Partition,
-        sig: S,
         max_rounds: Option<usize>,
-    ) -> (Partition, usize, bool)
-    where
-        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
-    {
-        debug_assert_eq!(initial.len(), n);
+        workers: usize,
+        shards: Option<usize>,
+        mut round: impl FnMut(&mut Self, &Partition) -> Result<RoundColors, E>,
+    ) -> Result<(Partition, usize, bool), E> {
+        let n = initial.len();
         if n == 0 || max_rounds == Some(0) {
-            return (initial, 0, false);
+            return Ok((initial, 0, false));
         }
         let rec = Arc::clone(&self.recorder);
         let mut fix = rec.span("refine.fixpoint");
-        let ranges = chunk_ranges(n, self.threads);
-        // The fused loop has no phase boundary to time, so a traced run
-        // materialises the key column even on one thread.
-        let keyed = ranges.len() > 1 || rec.enabled();
-        self.bufs.resize_with(ranges.len(), Vec::new);
         let mut partition = initial;
         let mut rounds = 0;
         let changed = loop {
             let mut sp = rec.span("refine.round");
             let prev_num = partition.num_colors();
             self.canon.reset(prev_num);
-            let (colors, phase_us) = if keyed {
-                let sig_start = Instant::now();
-                self.fill_keys(&partition, &sig, &ranges);
-                let sig_us = sig_start.elapsed().as_micros() as u64;
-                let canon_start = Instant::now();
-                let canon = &mut self.canon;
-                let colors: Vec<ColorId> = partition
-                    .colors()
-                    .iter()
-                    .zip(&self.keys)
-                    .map(|(&prev, &key)| canon.intern(prev, key))
-                    .collect();
-                let canon_us = canon_start.elapsed().as_micros() as u64;
-                (colors, Some((sig_us, canon_us)))
-            } else {
-                let canon = &mut self.canon;
-                let buf = &mut self.bufs[0];
-                let colors: Vec<ColorId> = partition
-                    .colors()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &prev)| {
-                        canon.intern(prev, sig(i, &partition, buf))
-                    })
-                    .collect();
-                (colors, None)
-            };
+            let (colors, phase_us) = round(self, &partition)?;
             let new_num = self.canon.classes();
             let changed = new_num != prev_num;
             partition = Partition::from_dense(colors, new_num);
@@ -299,6 +339,12 @@ impl RefineEngine {
                     sp.field("sig_us", sig_us);
                     sp.field("canon_us", canon_us);
                 }
+                if shards.is_some() {
+                    // The external-memory claim, live: largest
+                    // single-shard residency any worker has held so far.
+                    rec.gauge("stream.peak_shard_bytes")
+                        .set(self.peak_shard_bytes as u64);
+                }
             }
             drop(sp);
             if !changed || Some(rounds) == max_rounds {
@@ -309,9 +355,75 @@ impl RefineEngine {
             fix.field("rounds", rounds);
             fix.field("classes", partition.num_colors());
             fix.field("nodes", n);
-            fix.field("threads", ranges.len());
+            fix.field("threads", workers);
+            if let Some(shards) = shards {
+                fix.field("shards", shards);
+            }
         }
-        (partition, rounds, changed)
+        Ok((partition, rounds, changed))
+    }
+
+    /// The resident path: rounds whose keys come from `sig`, which maps
+    /// `(node, previous partition, scratch pair buffer)` to the node's
+    /// [`RoundKey`]; it must be a pure function of the node and
+    /// partition so rounds parallelise over node ranges, and it must
+    /// keep classes apart (see [`RefineEngine::refine_fixpoint_custom`]).
+    ///
+    /// This is the generic core the bisimulation step and the §6
+    /// refinement variants plug their signature function into.
+    fn run_nodes<S>(
+        &mut self,
+        initial: Partition,
+        sig: S,
+        max_rounds: Option<usize>,
+    ) -> (Partition, usize, bool)
+    where
+        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
+    {
+        let ranges = chunk_ranges(initial.len(), self.threads);
+        // The fused loop has no phase boundary to time, so a traced run
+        // materialises the key column even on one thread.
+        let keyed = ranges.len() > 1 || self.recorder.enabled();
+        self.bufs.resize_with(ranges.len(), Vec::new);
+        let Ok(out) = self.run(
+            initial,
+            max_rounds,
+            ranges.len(),
+            None,
+            |engine, partition| -> Result<_, std::convert::Infallible> {
+                if !keyed {
+                    return Ok((engine.fused_round(partition, &sig), None));
+                }
+                let sig_start = Instant::now();
+                engine.fill_keys(partition, &sig, &ranges);
+                let sig_us = sig_start.elapsed().as_micros() as u64;
+                let canon_start = Instant::now();
+                let colors = engine.canonicalise(partition);
+                let canon_us = canon_start.elapsed().as_micros() as u64;
+                Ok((colors, Some((sig_us, canon_us))))
+            },
+        );
+        out
+    }
+
+    /// One round with both phases fused on the calling thread: each
+    /// node's key is interned as soon as it is computed.
+    fn fused_round<S>(
+        &mut self,
+        partition: &Partition,
+        sig: &S,
+    ) -> Vec<ColorId>
+    where
+        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
+    {
+        let canon = &mut self.canon;
+        let buf = &mut self.bufs[0];
+        partition
+            .colors()
+            .iter()
+            .enumerate()
+            .map(|(i, &prev)| canon.intern(prev, sig(i, partition, buf)))
+            .collect()
     }
 
     /// The signature phase: every worker writes the keys of its node
@@ -339,6 +451,20 @@ impl RefineEngine {
         });
     }
 
+    /// The canonicalisation phase: intern the key column in node order.
+    pub(crate) fn canonicalise(
+        &mut self,
+        partition: &Partition,
+    ) -> Vec<ColorId> {
+        let canon = &mut self.canon;
+        partition
+            .colors()
+            .iter()
+            .zip(&self.keys)
+            .map(|(&prev, &key)| canon.intern(prev, key))
+            .collect()
+    }
+
     /// Apply one refinement step `BisimRefine_X(λ)` (equation 2) over a
     /// prebuilt grouped-CSR column view (the fixpoint driver builds the
     /// view once per run).
@@ -354,7 +480,7 @@ impl RefineEngine {
         assert_eq!(in_x.len(), n, "in_x length != partition length");
         assert_eq!(cols.offsets().len(), n + 1, "column view/partition mismatch");
         let (next, _, changed) =
-            self.run(n, partition.clone(), bisim_sig(cols, in_x), Some(1));
+            self.run_nodes(partition.clone(), bisim_sig(cols, in_x), Some(1));
         (next, changed)
     }
 
@@ -385,12 +511,14 @@ impl RefineEngine {
         assert_eq!(in_x.len(), n, "in_x length != partition length");
         assert_eq!(cols.offsets().len(), n + 1, "column view/partition mismatch");
         let (partition, rounds, _) =
-            self.run(n, initial, bisim_sig(cols, in_x), None);
+            self.run_nodes(initial, bisim_sig(cols, in_x), None);
         (partition, rounds.max(1))
     }
 
     /// Run `BisimRefine*_X(λ)` to fixpoint (Definition 4) with a
-    /// membership mask for `X`.
+    /// membership mask for `X` — over the graph's resident columns, or
+    /// over range shards of it when
+    /// [`RefineEngine::set_stream_shards`] asked for them.
     pub fn refine_fixpoint_mask(
         &mut self,
         g: &TripleGraph,
@@ -398,6 +526,14 @@ impl RefineEngine {
         in_x: &[bool],
     ) -> RefineOutcome {
         debug_assert_eq!(in_x.len(), g.node_count());
+        if let Some(k) = self.stream_shards {
+            // In-memory graph shards cannot fail to load, overlap, or
+            // point outside the graph; the expect documents that.
+            let shards = GraphShards::chunked(g, k);
+            return self
+                .refine_fixpoint_shards(&shards, initial, in_x)
+                .expect("in-memory graph shards are well-formed");
+        }
         let cols = g.out_columns();
         let (partition, rounds) =
             self.refine_fixpoint_columns(&cols, initial, in_x);
@@ -431,14 +567,13 @@ impl RefineEngine {
     /// numbering (see the module docs).
     pub(crate) fn refine_fixpoint_custom<S>(
         &mut self,
-        n: usize,
         initial: Partition,
         sig: S,
     ) -> RefineOutcome
     where
         S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
     {
-        let (partition, rounds, _) = self.run(n, initial, sig, None);
+        let (partition, rounds, _) = self.run_nodes(initial, sig, None);
         RefineOutcome {
             partition,
             rounds: rounds.max(1),
@@ -488,23 +623,11 @@ fn bisim_sig<'a>(
     let objs = cols.objs();
     move |i, partition, buf| {
         let colors = partition.colors();
-        if in_x[i] {
-            buf.clear();
-            for j in cols.range(NodeId(i as u32)) {
-                buf.push((
-                    colors[preds[j].index()].0,
-                    colors[objs[j].index()].0,
-                ));
-            }
-            // Equation (1) uses a *set* of color pairs: sort + dedup
-            // gives the canonical sequence to hash.
-            buf.sort_unstable();
-            buf.dedup();
-            let (h1, h2) = recolor_signature(colors[i].0, buf);
-            RoundKey::Recolored(h1, h2)
-        } else {
-            RoundKey::Kept(colors[i].0)
-        }
+        let pairs = || {
+            cols.range(NodeId(i as u32))
+                .map(|j| (colors[preds[j].index()].0, colors[objs[j].index()].0))
+        };
+        node_key(in_x[i], colors[i].0, buf, pairs)
     }
 }
 

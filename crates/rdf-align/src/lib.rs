@@ -63,17 +63,11 @@ pub use align::AlignmentView;
 pub use delta::{delta, Delta};
 pub use engine::RefineEngine;
 pub use enrich::WeightedBipartite;
-pub use pipeline::{
-    align, align_streaming_with, align_streaming_with_recorder, align_with,
-    align_with_recorder, Aligned, Method, StreamingUnsupported,
-    DEFAULT_STREAM_SHARDS,
-};
+pub use pipeline::{align, align_with, Aligned, Method, DEFAULT_STREAM_SHARDS};
 pub use metrics::{EdgeStats, MatchBreakdown, NodeCounts};
 pub use methods::{
-    deblank_partition, deblank_partition_streaming_with,
-    deblank_partition_with, hybrid_partition,
-    hybrid_partition_streaming_with, hybrid_partition_with,
-    trivial_partition, HybridOutcome,
+    deblank_partition, deblank_partition_with, hybrid_partition,
+    hybrid_partition_with, trivial_partition, HybridOutcome,
 };
 pub use overlap::PrefixBound;
 pub use overlap_align::{
@@ -86,11 +80,11 @@ pub use refine::{
     bisimulation_partition, label_partition, label_partition_from,
     RefineOutcome,
 };
-pub use stream::{StreamError, StreamingRefineEngine};
+pub use stream::StreamError;
 pub use weighted::WeightedPartition;
-// The thread-count knob of the engine, re-exported so downstream crates
-// (CLI, benches) need not depend on rdf-par directly.
-pub use rdf_par::Threads;
-// The instrumentation handle the engines accept, re-exported for the
+// The thread-count knob of the engine and its bound, re-exported so
+// downstream crates (CLI, benches) need not depend on rdf-par directly.
+pub use rdf_par::{Threads, MAX_THREADS};
+// The instrumentation handle the engine accepts, re-exported for the
 // same reason.
 pub use rdf_obs::Recorder;

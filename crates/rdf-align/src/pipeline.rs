@@ -6,17 +6,12 @@
 use crate::engine::RefineEngine;
 use crate::metrics::{edge_stats, node_counts, EdgeStats, NodeCounts};
 use crate::methods::{
-    deblank_partition_streaming_with, deblank_partition_with,
-    hybrid_partition_streaming_with, hybrid_partition_with,
-    trivial_partition,
+    deblank_partition_with, hybrid_partition_with, trivial_partition,
 };
 use crate::overlap_align::{overlap_align_with, OverlapConfig};
 use crate::partition::{unaligned_nodes, Partition};
-use crate::stream::StreamingRefineEngine;
 use crate::weighted::WeightedPartition;
-use rdf_model::{CombinedGraph, GraphShards, NodeId, RdfGraph, Vocab};
-use rdf_obs::Recorder;
-use rdf_par::Threads;
+use rdf_model::{CombinedGraph, NodeId, RdfGraph, Vocab};
 use std::sync::Arc;
 
 /// Which alignment method to run.
@@ -86,48 +81,28 @@ pub fn align(
     target: &RdfGraph,
     method: Method,
 ) -> Aligned {
-    align_with(vocab, source, target, method, Threads::Auto)
+    align_with(vocab, source, target, method, &mut RefineEngine::auto())
 }
 
-/// Align two graph versions with an explicit thread configuration.
+/// Align two graph versions through a caller-owned [`RefineEngine`],
+/// reused across every refinement stage of the chosen method. The
+/// engine carries the run's settings: its thread count, its recorder
+/// (per-round spans with the signature and canonicalisation split,
+/// plus this function's `align.union` and `align.metrics` spans) and
+/// its stream-shard setting ([`RefineEngine::set_stream_shards`]:
+/// Deblank and Hybrid fixpoints then run shard-at-a-time over a range
+/// decomposition of the combined graph).
 ///
-/// One [`RefineEngine`] is built here and reused across every
-/// refinement stage of the chosen method; its output is bit-identical
-/// for every thread count, so `threads` is purely a performance knob.
+/// None of them changes the result: the alignment is bit-identical for
+/// every thread count, every recorder and every stream-shard setting.
 pub fn align_with(
     vocab: &Vocab,
     source: &RdfGraph,
     target: &RdfGraph,
     method: Method,
-    threads: Threads,
+    engine: &mut RefineEngine,
 ) -> Aligned {
-    align_with_recorder(
-        vocab,
-        source,
-        target,
-        method,
-        threads,
-        Arc::new(Recorder::disabled()),
-    )
-}
-
-/// As [`align_with`], with an instrumentation recorder threaded through
-/// the refinement engine (per-round spans with the signature and
-/// canonicalisation split) and the pipeline stages (`align.union`,
-/// `align.metrics` spans).
-///
-/// Tracing is inert: the returned alignment is bit-identical to
-/// [`align_with`] for every recorder.
-pub fn align_with_recorder(
-    vocab: &Vocab,
-    source: &RdfGraph,
-    target: &RdfGraph,
-    method: Method,
-    threads: Threads,
-    recorder: Arc<Recorder>,
-) -> Aligned {
-    let rec = Arc::clone(&recorder);
-    let mut engine = RefineEngine::with_recorder(threads, recorder);
+    let rec = Arc::clone(&engine.recorder);
     let combined = {
         let mut sp = rec.span("align.union");
         let combined = CombinedGraph::union(vocab, source, target);
@@ -142,13 +117,13 @@ pub fn align_with_recorder(
             WeightedPartition::zero(trivial_partition(&combined))
         }
         Method::Deblank => WeightedPartition::zero(
-            deblank_partition_with(&combined, &mut engine).partition,
+            deblank_partition_with(&combined, engine).partition,
         ),
         Method::Hybrid => WeightedPartition::zero(
-            hybrid_partition_with(&combined, &mut engine).partition,
+            hybrid_partition_with(&combined, engine).partition,
         ),
         Method::Overlap(cfg) => {
-            overlap_align_with(&combined, vocab, cfg, &mut engine).weighted
+            overlap_align_with(&combined, vocab, cfg, engine).weighted
         }
     };
     let mut sp = rec.span("align.metrics");
@@ -170,126 +145,17 @@ pub fn align_with_recorder(
 
 /// Default shard count for the streaming alignment path when the
 /// caller has no on-disk shard structure to mirror (the CLI's
-/// `align --streaming` uses it for the combined graph's range
-/// decomposition). The streaming engine's output is independent of the
-/// shard count, so this is purely a residency-granularity knob.
+/// `align --streaming` sets it as the engine's stream-shard count, a
+/// range decomposition of the combined graph). The output is
+/// independent of the shard count, so this is purely a
+/// residency-granularity knob.
 pub const DEFAULT_STREAM_SHARDS: usize = 8;
-
-/// The requested method cannot run on the streaming refinement path.
-///
-/// Only the partition-only methods (Trivial, Deblank, Hybrid) stream;
-/// Overlap interleaves weight propagation with refinement rounds and
-/// still needs the resident engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamingUnsupported;
-
-impl std::fmt::Display for StreamingUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(
-            "the overlap method is not supported on the streaming \
-             refinement path (use trivial, deblank or hybrid)",
-        )
-    }
-}
-
-impl std::error::Error for StreamingUnsupported {}
-
-/// As [`align_with`], but running every refinement fixpoint through the
-/// shard-at-a-time [`StreamingRefineEngine`] over a `stream_shards`-way
-/// decomposition of the combined graph (see
-/// [`rdf_model::GraphShards::chunked`]): during refinement only the
-/// dense color vector plus one shard's columns per worker are resident,
-/// instead of the whole combined adjacency.
-///
-/// The report is **bit-identical** to [`align_with`] for every
-/// `stream_shards` and every thread count. Returns
-/// [`StreamingUnsupported`] for [`Method::Overlap`].
-pub fn align_streaming_with(
-    vocab: &Vocab,
-    source: &RdfGraph,
-    target: &RdfGraph,
-    method: Method,
-    threads: Threads,
-    stream_shards: usize,
-) -> Result<Aligned, StreamingUnsupported> {
-    align_streaming_with_recorder(
-        vocab,
-        source,
-        target,
-        method,
-        threads,
-        stream_shards,
-        Arc::new(Recorder::disabled()),
-    )
-}
-
-/// As [`align_streaming_with`], with an instrumentation recorder
-/// threaded through the streaming engine (per-round and per-shard
-/// spans, the `stream.peak_shard_bytes` gauge) and the pipeline
-/// stages. Tracing is inert: the returned alignment is bit-identical
-/// to [`align_streaming_with`] for every recorder.
-#[allow(clippy::too_many_arguments)]
-pub fn align_streaming_with_recorder(
-    vocab: &Vocab,
-    source: &RdfGraph,
-    target: &RdfGraph,
-    method: Method,
-    threads: Threads,
-    stream_shards: usize,
-    recorder: Arc<Recorder>,
-) -> Result<Aligned, StreamingUnsupported> {
-    let rec = Arc::clone(&recorder);
-    let combined = {
-        let mut sp = rec.span("align.union");
-        let combined = CombinedGraph::union(vocab, source, target);
-        if sp.enabled() {
-            sp.field("nodes", combined.graph().node_count());
-            sp.field("triples", combined.graph().triple_count());
-        }
-        combined
-    };
-    let shards = GraphShards::chunked(combined.graph(), stream_shards);
-    let mut engine = StreamingRefineEngine::with_recorder(threads, recorder);
-    // In-memory graph shards cannot fail to load, overlap, or point
-    // outside the graph; the expect documents that invariant.
-    let infallible = "in-memory graph shards are well-formed";
-    let weighted = match method {
-        Method::Trivial => {
-            WeightedPartition::zero(trivial_partition(&combined))
-        }
-        Method::Deblank => WeightedPartition::zero(
-            deblank_partition_streaming_with(&combined, &shards, &mut engine)
-                .expect(infallible)
-                .partition,
-        ),
-        Method::Hybrid => WeightedPartition::zero(
-            hybrid_partition_streaming_with(&combined, &shards, &mut engine)
-                .expect(infallible)
-                .partition,
-        ),
-        Method::Overlap(_) => return Err(StreamingUnsupported),
-    };
-    let mut sp = rec.span("align.metrics");
-    let edges = edge_stats(&weighted.partition, &combined);
-    let nodes = node_counts(&weighted.partition, &combined);
-    let unaligned = unaligned_nodes(&weighted.partition, &combined);
-    if sp.enabled() {
-        sp.field("unaligned", unaligned.len());
-    }
-    drop(sp);
-    Ok(Aligned {
-        combined,
-        weighted,
-        edges,
-        nodes,
-        unaligned,
-    })
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rdf_model::RdfGraphBuilder;
+    use rdf_par::Threads;
 
     fn versions() -> (Vocab, RdfGraph, RdfGraph) {
         let mut vocab = Vocab::new();
@@ -335,23 +201,29 @@ mod tests {
         assert_eq!(Method::default(), Method::Hybrid);
     }
 
+    /// A fresh engine on `threads`, streaming through `shards` range
+    /// shards when given.
+    fn engine(threads: usize, shards: Option<usize>) -> RefineEngine {
+        let mut engine = RefineEngine::new(Threads::Fixed(threads));
+        engine.set_stream_shards(shards);
+        engine
+    }
+
     #[test]
     fn streaming_alignment_matches_in_ram_alignment() {
         let (vocab, v1, v2) = versions();
         for method in [Method::Trivial, Method::Deblank, Method::Hybrid] {
             let in_ram =
-                align_with(&vocab, &v1, &v2, method, Threads::Fixed(1));
+                align_with(&vocab, &v1, &v2, method, &mut engine(1, None));
             for shards in [1usize, 2, 4, 8] {
                 for threads in [1usize, 2, 4] {
-                    let streamed = align_streaming_with(
+                    let streamed = align_with(
                         &vocab,
                         &v1,
                         &v2,
                         method,
-                        Threads::Fixed(threads),
-                        shards,
-                    )
-                    .expect("partition methods stream");
+                        &mut engine(threads, Some(shards)),
+                    );
                     assert_eq!(
                         streamed.partition().colors(),
                         in_ram.partition().colors(),
@@ -362,15 +234,6 @@ mod tests {
                 }
             }
         }
-        let overlap = align_streaming_with(
-            &vocab,
-            &v1,
-            &v2,
-            Method::overlap(),
-            Threads::Fixed(1),
-            4,
-        );
-        assert!(matches!(overlap, Err(StreamingUnsupported)));
     }
 
     #[test]
@@ -378,9 +241,9 @@ mod tests {
         let (vocab, v1, v2) = versions();
         for method in [Method::Trivial, Method::Deblank, Method::Hybrid] {
             let one =
-                align_with(&vocab, &v1, &v2, method, Threads::Fixed(1));
+                align_with(&vocab, &v1, &v2, method, &mut engine(1, None));
             let four =
-                align_with(&vocab, &v1, &v2, method, Threads::Fixed(4));
+                align_with(&vocab, &v1, &v2, method, &mut engine(4, None));
             assert_eq!(
                 one.partition().colors(),
                 four.partition().colors(),

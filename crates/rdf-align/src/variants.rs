@@ -76,7 +76,7 @@ pub fn context_refine_fixpoint_with(
     for &n in x {
         in_x[n.index()] = true;
     }
-    engine.refine_fixpoint_custom(g.node_count(), initial, {
+    engine.refine_fixpoint_custom(initial, {
         let in_x = &in_x;
         let inbound = &inbound;
         move |i, partition: &Partition, buf: &mut Vec<(u32, u32)>| {
@@ -158,7 +158,7 @@ pub fn key_restricted_fixpoint_with(
     for &n in x {
         in_x[n.index()] = true;
     }
-    engine.refine_fixpoint_custom(g.node_count(), initial, {
+    engine.refine_fixpoint_custom(initial, {
         let in_x = &in_x;
         move |i, partition: &Partition, buf: &mut Vec<(u32, u32)>| {
             let node = NodeId(i as u32);

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use rdf_align::pipeline::{align_with, Method};
-use rdf_align::Threads;
+use rdf_align::{RefineEngine, Threads};
 use rdf_model::{rebase_into, RdfGraph, RdfGraphBuilder, Vocab};
 use rdf_obs::Recorder;
 use rdf_store::{save_graph, save_sharded, Store};
@@ -126,10 +126,12 @@ proptest! {
             // …and so is every alignment report built on them.
             for method in METHODS {
                 let a = align_with(
-                    &sv, &s1, &s2, method, Threads::Fixed(t),
+                    &sv, &s1, &s2, method,
+                    &mut RefineEngine::new(Threads::Fixed(t)),
                 );
                 let b = align_with(
-                    &hv, &h1, &h2, method, Threads::Fixed(t),
+                    &hv, &h1, &h2, method,
+                    &mut RefineEngine::new(Threads::Fixed(t)),
                 );
                 prop_assert_eq!(
                     a.partition().colors(),

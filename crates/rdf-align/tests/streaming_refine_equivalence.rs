@@ -2,16 +2,23 @@
 //! shard-at-a-time rounds over a [`rdf_model::GraphShards`]
 //! decomposition or straight from on-disk `.rdfm` shard files produce
 //! the bit-identical partitions (same dense colors, same round counts)
-//! the in-RAM [`rdf_align::RefineEngine`] produces, for every shard
-//! count {1, 2, 4, 8} × thread count {1, 2, 4} — the acceptance matrix
-//! of the external-memory step. Corruption in any shard file surfaces
-//! as the same typed store errors the stitched load reports, at every
-//! thread count.
+//! the resident path of [`rdf_align::RefineEngine`] produces, for
+//! every shard count {1, 2, 4, 8} × thread count {1, 2, 4} — the
+//! acceptance matrix of the external-memory step. Corruption in any
+//! shard file surfaces as the same typed store errors the stitched load
+//! reports, at every thread count.
 
 use proptest::prelude::*;
-use rdf_align::pipeline::{align_streaming_with, align_with, Method};
-use rdf_align::{RefineEngine, StreamError, StreamingRefineEngine, Threads};
-use rdf_model::{RdfGraph, RdfGraphBuilder, ShardColumnsSource, Vocab};
+use rdf_align::methods::blank_out;
+use rdf_align::partition::unaligned_non_literals;
+use rdf_align::pipeline::{align_with, Aligned, Method};
+use rdf_align::refine::{label_partition, reference_refine_fixpoint_mask};
+use rdf_align::{RefineEngine, StreamError, Threads};
+use rdf_model::{
+    CombinedGraph, RdfGraph, RdfGraphBuilder, ShardColumns,
+    ShardColumnsSource, Triple, TripleGraph, Vocab,
+};
+use std::convert::Infallible;
 use rdf_obs::Recorder;
 use rdf_store::{save_sharded, Store, StoreError};
 use std::path::PathBuf;
@@ -67,6 +74,50 @@ fn arb_versions() -> impl Strategy<Value = (Vocab, RdfGraph, RdfGraph)> {
     })
 }
 
+/// Align through a fresh engine on `threads`, streaming through
+/// `shards` range shards when given.
+fn align_on(
+    (vocab, g1, g2): (&Vocab, &RdfGraph, &RdfGraph),
+    method: Method,
+    threads: usize,
+    shards: Option<usize>,
+) -> Aligned {
+    let mut engine = RefineEngine::new(Threads::Fixed(threads));
+    engine.set_stream_shards(shards);
+    align_with(vocab, g1, g2, method, &mut engine)
+}
+
+/// A source shaped like a hash-partitioned `.rdfm` store: shard `k`
+/// holds the subjects ≡ k (mod `shards`), so every shard interleaves
+/// with every other across the whole node range.
+struct ModShards<'g> {
+    graph: &'g TripleGraph,
+    shards: usize,
+}
+
+impl ShardColumnsSource for ModShards<'_> {
+    type Error = Infallible;
+
+    fn node_count(&self) -> usize {
+        self.graph.node_count()
+    }
+
+    fn shard_count(&self) -> usize {
+        self.shards
+    }
+
+    fn load_shard(&self, k: usize) -> Result<ShardColumns, Infallible> {
+        let run: Vec<Triple> = self
+            .graph
+            .triples()
+            .iter()
+            .copied()
+            .filter(|t| t.s.index() % self.shards == k)
+            .collect();
+        Ok(ShardColumns::from_sorted_triples(&run))
+    }
+}
+
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 const THREADS: [usize; 3] = [1, 2, 4];
 const METHODS: [Method; 3] =
@@ -82,14 +133,11 @@ proptest! {
         (vocab, g1, g2) in arb_versions()
     ) {
         for method in METHODS {
-            let base =
-                align_with(&vocab, &g1, &g2, method, Threads::Fixed(1));
+            let base = align_on((&vocab, &g1, &g2), method, 1, None);
             for shards in SHARDS {
                 for t in THREADS {
-                    let streamed = align_streaming_with(
-                        &vocab, &g1, &g2, method,
-                        Threads::Fixed(t), shards,
-                    ).expect("partition methods stream");
+                    let streamed = align_on(
+                        (&vocab, &g1, &g2), method, t, Some(shards));
                     prop_assert_eq!(
                         streamed.partition().colors(),
                         base.partition().colors()
@@ -140,10 +188,9 @@ proptest! {
                 .max()
                 .unwrap_or(0);
             for t in THREADS {
-                let mut engine =
-                    StreamingRefineEngine::new(Threads::Fixed(t));
+                let mut engine = RefineEngine::new(Threads::Fixed(t));
                 let out = engine
-                    .bisimulation(&store, store.labels())
+                    .bisimulation_shards(&store, store.labels())
                     .unwrap();
                 prop_assert_eq!(
                     out.partition.colors(),
@@ -157,6 +204,53 @@ proptest! {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Interleaved (mod-s) shards under the three masks the methods
+    /// refine with — all nodes, the blanks, and `UN(λ_Deblank)` from
+    /// the blanked Deblank partition — give the sequential reference's
+    /// colors and round count, shard × thread.
+    #[test]
+    fn interleaved_shards_match_reference_under_partial_masks(
+        (vocab, g1, g2) in arb_versions()
+    ) {
+        let c = CombinedGraph::union(&vocab, &g1, &g2);
+        let g = c.graph();
+        let n = g.node_count();
+        let blanks: Vec<bool> = g.nodes().map(|v| g.is_blank(v)).collect();
+        let deblank =
+            reference_refine_fixpoint_mask(g, label_partition(g), &blanks);
+        let unaligned = unaligned_non_literals(&deblank.partition, &c);
+        let mut un = vec![false; n];
+        for v in &unaligned {
+            un[v.index()] = true;
+        }
+        let masks = [
+            (label_partition(g), vec![true; n]),
+            (label_partition(g), blanks),
+            (blank_out(&deblank.partition, &unaligned), un),
+        ];
+        for (initial, in_x) in &masks {
+            let want =
+                reference_refine_fixpoint_mask(g, initial.clone(), in_x);
+            for shards in [1usize, 2, 3, 8] {
+                let src = ModShards { graph: g, shards };
+                for t in THREADS {
+                    let got = RefineEngine::new(Threads::Fixed(t))
+                        .refine_fixpoint_shards(&src, initial.clone(), in_x)
+                        .expect("mod-s shards partition the subjects");
+                    prop_assert_eq!(
+                        got.partition.colors(),
+                        want.partition.colors()
+                    );
+                    prop_assert_eq!(got.rounds, want.rounds);
+                }
+            }
+        }
     }
 }
 
@@ -217,8 +311,8 @@ fn corrupt_shards_fail_with_typed_errors_at_every_thread_count() {
     let bytes = std::fs::read(&paths[2]).unwrap();
     std::fs::write(&paths[2], &bytes[..bytes.len() / 2]).unwrap();
     for t in [1usize, 2, 4] {
-        let err = StreamingRefineEngine::new(Threads::Fixed(t))
-            .bisimulation(&store, store.labels())
+        let err = RefineEngine::new(Threads::Fixed(t))
+            .bisimulation_shards(&store, store.labels())
             .unwrap_err();
         match err {
             StreamError::Source(StoreError::InShard {
@@ -235,8 +329,8 @@ fn corrupt_shards_fail_with_typed_errors_at_every_thread_count() {
 
     // A missing shard is typed too.
     std::fs::remove_file(&paths[2]).unwrap();
-    let err = StreamingRefineEngine::new(Threads::Fixed(2))
-        .bisimulation(&store, store.labels())
+    let err = RefineEngine::new(Threads::Fixed(2))
+        .bisimulation_shards(&store, store.labels())
         .unwrap_err();
     assert!(
         matches!(

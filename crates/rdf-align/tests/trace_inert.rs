@@ -9,11 +9,8 @@
 //! scheduling.
 
 use proptest::prelude::*;
-use rdf_align::pipeline::{
-    align_streaming_with, align_streaming_with_recorder, align_with,
-    align_with_recorder, Method,
-};
-use rdf_align::{Recorder, Threads};
+use rdf_align::pipeline::{align_with, Method};
+use rdf_align::{Recorder, RefineEngine, Threads};
 use rdf_model::{RdfGraph, RdfGraphBuilder, Vocab};
 use rdf_obs::RunReport;
 use std::io;
@@ -54,25 +51,28 @@ fn traced(
 ) -> (rdf_align::pipeline::Aligned, RunReport) {
     let buf = SharedBuf::default();
     let rec = Arc::new(Recorder::jsonl_writer(Box::new(buf.clone())));
-    let out = match stream_shards {
-        None => {
-            align_with_recorder(vocab, g1, g2, method, threads, Arc::clone(&rec))
-        }
-        Some(shards) => align_streaming_with_recorder(
-            vocab,
-            g1,
-            g2,
-            method,
-            threads,
-            shards,
-            Arc::clone(&rec),
-        )
-        .expect("partition methods stream"),
-    };
+    let mut engine = RefineEngine::with_recorder(threads, Arc::clone(&rec));
+    engine.set_stream_shards(stream_shards);
+    let out = align_with(vocab, g1, g2, method, &mut engine);
+    drop(engine);
     rec.finish().expect("in-memory sink cannot fail");
     let report = RunReport::from_jsonl(&buf.text())
         .expect("every emitted line is schema-valid JSONL");
     (out, report)
+}
+
+/// The untraced run of the same configuration.
+fn untraced(
+    vocab: &Vocab,
+    g1: &RdfGraph,
+    g2: &RdfGraph,
+    method: Method,
+    threads: Threads,
+    stream_shards: Option<usize>,
+) -> rdf_align::pipeline::Aligned {
+    let mut engine = RefineEngine::new(threads);
+    engine.set_stream_shards(stream_shards);
+    align_with(vocab, g1, g2, method, &mut engine)
 }
 
 /// Span families and their event counts — the structural shape of a
@@ -142,8 +142,8 @@ proptest! {
         // counts across thread counts.
         let mut inram_shapes = Vec::new();
         for t in THREADS {
-            let base = align_with(
-                &vocab, &g1, &g2, method, Threads::Fixed(t));
+            let base = untraced(
+                &vocab, &g1, &g2, method, Threads::Fixed(t), None);
             let (out, report) = traced(
                 &vocab, &g1, &g2, method, Threads::Fixed(t), None);
             prop_assert_eq!(
@@ -161,9 +161,9 @@ proptest! {
             let mut shapes = Vec::new();
             let mut gauges = Vec::new();
             for t in THREADS {
-                let base = align_streaming_with(
-                    &vocab, &g1, &g2, method, Threads::Fixed(t), shards,
-                ).expect("partition methods stream");
+                let base = untraced(
+                    &vocab, &g1, &g2, method, Threads::Fixed(t),
+                    Some(shards));
                 let (out, report) = traced(
                     &vocab, &g1, &g2, method,
                     Threads::Fixed(t), Some(shards));

@@ -20,7 +20,7 @@
 
 use rdf_align::engine::RefineEngine;
 use rdf_align::methods::hybrid_partition_with;
-use rdf_align::{Recorder, Threads};
+use rdf_align::{Recorder, Threads, MAX_THREADS};
 use rdf_bench::BenchRecord;
 use rdf_datagen::{generate_efo, EfoConfig};
 use rdf_model::CombinedGraph;
@@ -53,9 +53,12 @@ fn main() {
                     it.next().unwrap_or_else(|| die("--threads needs a list"));
                 threads_list = list
                     .split(',')
-                    .map(|v| match v.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => die("--threads needs positive integers"),
+                    .map(|v| match Threads::parse(v) {
+                        Ok(Threads::Fixed(n)) => n,
+                        _ => die(&format!(
+                            "--threads needs integers in 1..={}",
+                            MAX_THREADS
+                        )),
                     })
                     .collect();
                 if threads_list.is_empty() {

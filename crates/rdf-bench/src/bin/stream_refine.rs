@@ -1,6 +1,6 @@
-//! `stream_refine` — wall-clock *and peak-residency* of the streaming
-//! refinement engine against the in-RAM engine, on the scale-1.0 EFO
-//! dataset saved as sharded stores.
+//! `stream_refine` — wall-clock *and peak-residency* of the refinement
+//! engine's shard path against its resident (in-RAM) path, on the EFO
+//! dataset (default scale 1.0) saved as sharded stores.
 //!
 //! ```text
 //! stream_refine [--scale F] [--reps N] [--shards LIST] [--threads N|auto]
@@ -10,22 +10,22 @@
 //! For each shard count the final EFO version is saved as a `.rdfm`
 //! store, opened for streaming, and the maximal bisimulation is
 //! computed shard-at-a-time (best of `reps`); the result is asserted
-//! **bit-identical** (colors and rounds) to the in-RAM engine over the
+//! **bit-identical** (colors and rounds) to the resident path over the
 //! stitched load. `BENCH_stream_refine.json` records, per shard count,
 //! the streaming wall-ms and the engine's peak-resident proxy
 //! (`peak_shard_bytes_sN` — the largest single shard's columns, the
-//! only adjacency a worker ever holds) next to the in-RAM engine's
+//! only adjacency a worker ever holds) next to the resident path's
 //! resident columns (`inram_resident_bytes` — the whole graph), so the
 //! external-memory claim is a number, not prose: the ratio
 //! `resident_ratio_sN` shrinks roughly like `1/N`. Streaming re-reads
 //! every shard file once per refinement round, so its wall time is
-//! expected to trail the in-RAM engine — the win is bounded residency,
+//! expected to trail the resident path — the win is bounded residency,
 //! not speed. The record embeds a `run_report` from one instrumented
 //! streaming run, asserted consistent with the engine (round count and
 //! peak-shard gauge match exactly). Exits non-zero if any
 //! configuration diverges from the in-RAM partition.
 
-use rdf_align::{Recorder, RefineEngine, StreamingRefineEngine, Threads};
+use rdf_align::{Recorder, RefineEngine, Threads};
 use rdf_bench::BenchRecord;
 use rdf_datagen::{generate_efo, EfoConfig};
 use rdf_store::{save_sharded, Store};
@@ -156,13 +156,13 @@ fn main() {
             .unwrap()
             .shards(Arc::new(Recorder::disabled()))
             .unwrap();
-        let mut engine = StreamingRefineEngine::new(threads);
+        let mut engine = RefineEngine::new(threads);
         let mut best = f64::INFINITY;
         let mut streamed = None;
         for _ in 0..reps {
             let t0 = Instant::now();
             let out = engine
-                .bisimulation(&store, store.labels())
+                .bisimulation_shards(&store, store.labels())
                 .expect("freshly written shards load");
             best = best.min(t0.elapsed().as_secs_f64() * 1e3);
             streamed.get_or_insert(out);
@@ -173,7 +173,7 @@ fn main() {
         {
             eprintln!(
                 "stream_refine: {n}-shard streaming fixpoint DIVERGED \
-                 from the in-RAM engine"
+                 from the resident path"
             );
             diverged = true;
         }
@@ -201,9 +201,9 @@ fn main() {
         .unwrap()
         .shards(Arc::clone(&rec))
         .unwrap();
-    let mut engine = StreamingRefineEngine::with_recorder(threads, Arc::clone(&rec));
+    let mut engine = RefineEngine::with_recorder(threads, Arc::clone(&rec));
     let out = engine
-        .bisimulation(&store, store.labels())
+        .bisimulation_shards(&store, store.labels())
         .expect("traced rerun over freshly written shards");
     assert_eq!(
         out.partition.colors(),

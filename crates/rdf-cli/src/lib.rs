@@ -14,12 +14,9 @@ pub mod serve;
 pub mod signals;
 
 use crate::pipeline::{ctx, open_store};
-use rdf_align::pipeline::{
-    align_streaming_with_recorder, align_with_recorder, Aligned, Method,
-    DEFAULT_STREAM_SHARDS,
-};
-use rdf_align::{RefineEngine, StreamingRefineEngine, Threads};
-use rdf_model::{ShardColumnsSource, Vocab};
+use rdf_align::pipeline::{align_with, Aligned, Method, DEFAULT_STREAM_SHARDS};
+use rdf_align::{RefineEngine, Threads};
+use rdf_model::{RdfGraph, ShardColumnsSource, Vocab};
 use rdf_obs::{Recorder, RunReport};
 use rdf_store::{Store, StoreError};
 use std::fmt;
@@ -160,11 +157,11 @@ pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
 /// With `bisim = Some(threads)`, graph stores additionally get a
 /// maximal-bisimulation summary (quotient classes and rounds) computed
 /// through the parallel [`RefineEngine`] on the given thread
-/// configuration. With `streaming` also set, the summary is computed
-/// by the shard-at-a-time [`StreamingRefineEngine`] straight from the
-/// shard files — the stitched graph is never materialised, so this
-/// requires a `.rdfm` manifest. The summary is byte-identical either
-/// way.
+/// configuration. With `streaming` also set, the engine reads its
+/// adjacency shard at a time straight from the shard files
+/// ([`RefineEngine::bisimulation_shards`]) — the stitched graph is
+/// never materialised, so this requires a `.rdfm` manifest. The
+/// summary is byte-identical either way.
 ///
 /// Store loads emit `store.open` / `store.section` / `shard.*` spans
 /// and the refinement its `refine.*` spans into `rec`; the report text
@@ -213,6 +210,7 @@ fn bisim_summary(
     streaming: bool,
     rec: &Arc<Recorder>,
 ) -> Result<String, CliError> {
+    let mut engine = RefineEngine::with_recorder(threads, Arc::clone(rec));
     if streaming {
         let shards = match store.shards(Arc::clone(rec)) {
             Err(StoreError::WrongContentKind { .. }) => {
@@ -223,10 +221,8 @@ fn bisim_summary(
             }
             shards => shards.map_err(|e| ctx(input, e))?,
         };
-        let mut engine =
-            StreamingRefineEngine::with_recorder(threads, Arc::clone(rec));
         let bisim = engine
-            .bisimulation(&shards, shards.labels())
+            .bisimulation_shards(&shards, shards.labels())
             .map_err(|e| ctx(input, e))?;
         return Ok(bisim_line(
             bisim.partition.num_colors(),
@@ -235,7 +231,6 @@ fn bisim_summary(
             engine.threads(),
         ));
     }
-    let mut engine = RefineEngine::with_recorder(threads, Arc::clone(rec));
     let (bisim, nodes) = match store.view(rec) {
         Ok((_, view)) => (
             engine.bisimulation_columns(view.labels(), &view.out_columns()),
@@ -364,11 +359,11 @@ impl AlignOutcome {
 /// on the configured thread count; the reported metrics are
 /// bit-identical for every count.
 ///
-/// With `streaming`, every refinement fixpoint runs through the
-/// shard-at-a-time [`StreamingRefineEngine`] over a range
+/// With `streaming`, every refinement fixpoint reads its adjacency
+/// shard at a time from a [`DEFAULT_STREAM_SHARDS`]-way range
 /// decomposition of the combined graph (methods `trivial`, `deblank`
-/// and `hybrid` only) — the report stays byte-identical to the in-RAM
-/// engine's.
+/// and `hybrid` only) — the report stays byte-identical to the
+/// resident path's.
 pub fn align(
     source: &Path,
     target: &Path,
@@ -377,6 +372,7 @@ pub fn align(
     threads: Threads,
     streaming: bool,
 ) -> Result<AlignOutcome, CliError> {
+    let rec = Arc::new(Recorder::disabled());
     align_traced(
         source,
         target,
@@ -384,14 +380,21 @@ pub fn align(
         theta,
         threads,
         streaming,
-        &Arc::new(Recorder::disabled()),
+        &rec,
+        |path, vocab| Ok((load_input(path, vocab, threads, &rec)?, false)),
     )
+    .map(|(outcome, _)| outcome)
 }
 
-/// [`align`] with instrumentation: input loads emit store spans and
-/// the pipeline emits `align.*` / `refine.*` spans into `rec`. The
-/// rendered report is byte-identical to the untraced run — tracing is
-/// a pure side channel.
+/// [`align`] with instrumentation and a caller-chosen input loader.
+/// Input loads emit store spans and the pipeline emits `align.*` /
+/// `refine.*` spans into `rec`; the rendered report is byte-identical
+/// to the untraced run — tracing is a pure side channel.
+///
+/// `load` reads one input into the session vocabulary and says
+/// whether it was served warm: the one-shot command passes
+/// [`load_input`] (never warm), the `serve` daemon its store cache.
+/// Returns the outcome and whether *every* input was warm.
 #[allow(clippy::too_many_arguments)]
 pub fn align_traced(
     source: &Path,
@@ -401,26 +404,27 @@ pub fn align_traced(
     threads: Threads,
     streaming: bool,
     rec: &Arc<Recorder>,
-) -> Result<AlignOutcome, CliError> {
+    mut load: impl FnMut(
+        &Path,
+        &mut Vocab,
+    ) -> Result<(RdfGraph, bool), CliError>,
+) -> Result<(AlignOutcome, bool), CliError> {
     let method = parse_method(method_name, theta)?;
+    // Overlap interleaves weight propagation with refinement rounds
+    // over resident columns; only the partition methods stream.
+    if streaming && matches!(method, Method::Overlap(_)) {
+        return Err(CliError::new(
+            "the overlap method is not supported on the streaming \
+             refinement path (use trivial, deblank or hybrid)",
+        ));
+    }
     let mut vocab = Vocab::new();
-    let g1 = load_input(source, &mut vocab, threads, rec)?;
-    let g2 = load_input(target, &mut vocab, threads, rec)?;
-    let aligned = if streaming {
-        align_streaming_with_recorder(
-            &vocab,
-            &g1,
-            &g2,
-            method,
-            threads,
-            DEFAULT_STREAM_SHARDS,
-            Arc::clone(rec),
-        )
-        .map_err(|e| CliError::new(e.to_string()))?
-    } else {
-        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec))
-    };
-    Ok(AlignOutcome {
+    let (g1, warm1) = load(source, &mut vocab)?;
+    let (g2, warm2) = load(target, &mut vocab)?;
+    let mut engine = RefineEngine::with_recorder(threads, Arc::clone(rec));
+    engine.set_stream_shards(streaming.then_some(DEFAULT_STREAM_SHARDS));
+    let aligned = align_with(&vocab, &g1, &g2, method, &mut engine);
+    let outcome = AlignOutcome {
         method: method_name.to_string(),
         source: (
             source.display().to_string(),
@@ -433,7 +437,8 @@ pub fn align_traced(
             g2.triple_count(),
         ),
         aligned,
-    })
+    };
+    Ok((outcome, warm1 && warm2))
 }
 
 /// `rdf stats <trace.jsonl>` — aggregate a `--trace` run (or re-render

@@ -18,8 +18,8 @@
 //! (format is resolved from the magic bytes and container kind).
 //! Refinement — and the sharded load — runs on the deterministic
 //! parallel engine: `--threads` only changes wall-clock time, never the
-//! output, and `--streaming` swaps in the shard-at-a-time engine
-//! without changing the output either.
+//! output, and `--streaming` makes the engine read its adjacency
+//! shard at a time without changing the output either.
 
 use rdf_align::{Recorder, Threads};
 use std::path::PathBuf;
@@ -72,7 +72,7 @@ commands:
                                     command); see docs/PROTOCOL.md
 
 threading:
-  --threads N                       N = auto | positive integer (default
+  --threads N                       N = auto | integer 1..256 (default
                                     auto). Refinement output is identical
                                     for every N; only wall time changes.
                                     auto uses the RDF_THREADS environment
@@ -417,8 +417,12 @@ fn run(args: &[String]) -> Result<String, String> {
                 .try_into()
                 .map_err(|_| "align takes exactly two inputs")?;
             let rec = trace_recorder(trace)?;
-            let outcome = rdf_cli::align_traced(
+            let (outcome, _) = rdf_cli::align_traced(
                 &source, &target, &method, theta, threads, streaming, &rec,
+                |path, vocab| {
+                    let graph = rdf_cli::load_input(path, vocab, threads, &rec)?;
+                    Ok((graph, false))
+                },
             )
             .map_err(|e| e.to_string())?;
             finish_trace(&rec)?;

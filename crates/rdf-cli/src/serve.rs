@@ -28,11 +28,7 @@
 
 use crate::pipeline::{ctx, is_store, load_input, load_store, rebase};
 use crate::signals;
-use crate::{AlignOutcome, CliError};
-use rdf_align::pipeline::{
-    align_streaming_with_recorder, align_with_recorder,
-    DEFAULT_STREAM_SHARDS,
-};
+use crate::CliError;
 use rdf_align::Threads;
 use rdf_model::{RdfGraph, Vocab};
 use rdf_obs::Recorder;
@@ -192,8 +188,9 @@ impl ServeState {
         }
     }
 
-    /// Per-request thread budget: the request's `threads` field wins
-    /// over the server default.
+    /// Per-request thread budget: the request's `threads` field —
+    /// `Request::parse` has bounded it to `1..=`[`rdf_par::MAX_THREADS`]
+    /// — wins over the server default.
     fn threads_for(&self, req: Option<usize>) -> Threads {
         match req {
             Some(n) => Threads::Fixed(n),
@@ -375,16 +372,22 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             streaming,
             threads,
             trace: _,
-        } => align_cached(
-            state,
-            &source,
-            &target,
-            &method,
-            theta,
-            streaming,
-            state.threads_for(threads),
-            &rec,
-        ),
+        } => {
+            // The one-shot pipeline with cached store loads, so the
+            // report is byte-identical to the one-shot CLI's.
+            let threads = state.threads_for(threads);
+            crate::align_traced(
+                Path::new(&source),
+                Path::new(&target),
+                &method,
+                theta,
+                threads,
+                streaming,
+                &rec,
+                |path, vocab| state.load_cached(path, vocab, threads, &rec),
+            )
+            .map(|(outcome, cached)| (outcome.render(), cached))
+        }
         Request::Stats => Ok((state.stats_text(), false)),
     };
 
@@ -405,60 +408,6 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
         }
         Err(e) => Response::error(ErrorKind::Engine, e),
     }
-}
-
-/// [`crate::align_traced`] with cached store loads: same session-vocab
-/// construction, same pipeline, same renderer — the report is
-/// byte-identical to the one-shot CLI's. `cached` is true only when
-/// *every* store input came from the cache.
-#[allow(clippy::too_many_arguments)]
-fn align_cached(
-    state: &ServeState,
-    source: &str,
-    target: &str,
-    method_name: &str,
-    theta: Option<f64>,
-    streaming: bool,
-    threads: Threads,
-    rec: &Arc<Recorder>,
-) -> Result<(String, bool), CliError> {
-    let method = crate::parse_method(method_name, theta)?;
-    let source = Path::new(source);
-    let target = Path::new(target);
-    let mut vocab = Vocab::new();
-    let (g1, warm1) =
-        state.load_cached(source, &mut vocab, threads, rec)?;
-    let (g2, warm2) =
-        state.load_cached(target, &mut vocab, threads, rec)?;
-    let aligned = if streaming {
-        align_streaming_with_recorder(
-            &vocab,
-            &g1,
-            &g2,
-            method,
-            threads,
-            DEFAULT_STREAM_SHARDS,
-            Arc::clone(rec),
-        )
-        .map_err(|e| CliError::new(e.to_string()))?
-    } else {
-        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec))
-    };
-    let outcome = AlignOutcome {
-        method: method_name.to_string(),
-        source: (
-            source.display().to_string(),
-            g1.node_count(),
-            g1.triple_count(),
-        ),
-        target: (
-            target.display().to_string(),
-            g2.node_count(),
-            g2.triple_count(),
-        ),
-        aligned,
-    };
-    Ok((outcome.render(), warm1 && warm2))
 }
 
 /// Serve one connection: read request lines, answer each with exactly

@@ -14,7 +14,7 @@
 //!   decomposition of a [`TripleGraph`]);
 //! * [`GraphShards`] — the in-memory source: a contiguous
 //!   subject-range decomposition of a resident graph, used to run the
-//!   streaming engine over graphs that were never sharded on disk
+//!   engine's shard path over graphs that were never sharded on disk
 //!   (e.g. the combined alignment graph) and to test equivalence.
 //!
 //! Because every subject's full out-neighbourhood lives in exactly one
@@ -143,7 +143,7 @@ impl ShardColumns {
         self.max_node
     }
 
-    /// Heap bytes this view keeps resident — the streaming engine's
+    /// Heap bytes this view keeps resident — the shard path's
     /// peak-memory proxy (`4` bytes per subject, offset, predicate and
     /// object entry).
     pub fn resident_bytes(&self) -> usize {
@@ -185,7 +185,7 @@ pub trait ShardColumnsSource {
 /// An in-memory [`ShardColumnsSource`]: a resident [`TripleGraph`]
 /// decomposed into contiguous subject ranges.
 ///
-/// The streaming engine's output is independent of *how* subjects are
+/// The shard path's output is independent of *how* subjects are
 /// grouped into shards (any disjoint cover gives the same result), so
 /// the simplest deterministic decomposition — near-even contiguous
 /// node ranges — serves both the in-RAM streaming path (refining a

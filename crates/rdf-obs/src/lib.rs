@@ -1,11 +1,12 @@
 //! Structured tracing and metrics for the alignment pipeline.
 //!
 //! The workspace has three execution modes for the same fixpoint —
-//! sequential reference, parallel [`RefineEngine`], shard-streaming
-//! [`StreamingRefineEngine`] — whose *equivalence* is proven by the
-//! bit-identity suites but whose *behavior* (rounds, splits per round,
-//! signature vs. canonicalise time, shard I/O, peak residency) used to
-//! be invisible outside the bench binaries. This
+//! sequential reference, parallel [`RefineEngine`] over resident
+//! columns, and the same engine streaming shards
+//! ([`RefineEngine::bisimulation_shards`]) — whose *equivalence* is
+//! proven by the bit-identity suites but whose *behavior* (rounds,
+//! splits per round, signature vs. canonicalise time, shard I/O, peak
+//! residency) used to be invisible outside the bench binaries. This
 //! crate makes that behavior observable without perturbing it:
 //!
 //! * [`Recorder`] — the instrumentation handle threaded through hot
@@ -38,7 +39,7 @@
 //! the convenience of a `static`.
 //!
 //! [`RefineEngine`]: ../rdf_align/struct.RefineEngine.html
-//! [`StreamingRefineEngine`]: ../rdf_align/struct.StreamingRefineEngine.html
+//! [`RefineEngine::bisimulation_shards`]: ../rdf_align/struct.RefineEngine.html#method.bisimulation_shards
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

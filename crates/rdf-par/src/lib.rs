@@ -35,10 +35,19 @@ use std::sync::{mpsc, Arc, Mutex};
 /// any call site.
 pub const THREADS_ENV: &str = "RDF_THREADS";
 
+/// The largest explicit thread count any caller may ask for: the bound
+/// on `--threads`, on the served `threads` request field and on
+/// `RDF_THREADS`. A refinement round starts one OS thread per node
+/// range, up to the configured count, so an unbounded count lets one
+/// request start a thread per node; no machine this targets has more
+/// cores than this.
+pub const MAX_THREADS: usize = 256;
+
 /// Thread-count configuration for parallel helpers.
 ///
 /// `Auto` (the default) resolves to the `RDF_THREADS` environment
-/// variable when it holds a positive integer, and otherwise to
+/// variable when it holds an integer in `1..=`[`MAX_THREADS`], and
+/// otherwise to
 /// [`std::thread::available_parallelism`]. `Fixed(n)` always resolves
 /// to `max(n, 1)` — an explicit request (e.g. a `--threads` flag) wins
 /// over the environment.
@@ -59,22 +68,23 @@ impl Threads {
             Threads::Auto => std::env::var(THREADS_ENV)
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
+                .filter(|n| (1..=MAX_THREADS).contains(n))
                 .unwrap_or_else(available),
         }
     }
 
-    /// Parse a command-line value: `"auto"` or a positive integer.
+    /// Parse a command-line value: `"auto"` or an integer in
+    /// `1..=`[`MAX_THREADS`].
     pub fn parse(s: &str) -> Result<Threads, String> {
         let s = s.trim();
         if s.eq_ignore_ascii_case("auto") {
             return Ok(Threads::Auto);
         }
         match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Threads::Fixed(n)),
+            Ok(n) if (1..=MAX_THREADS).contains(&n) => Ok(Threads::Fixed(n)),
             _ => Err(format!(
-                "invalid thread count {s:?} (expected \"auto\" or a \
-                 positive integer)"
+                "invalid thread count {s:?} (expected \"auto\" or an \
+                 integer in 1..={MAX_THREADS})"
             )),
         }
     }
@@ -431,6 +441,16 @@ mod tests {
         assert_eq!(Threads::Fixed(4).resolve(), 4);
         assert_eq!(Threads::Fixed(0).resolve(), 1);
         assert!(Threads::Auto.resolve() >= 1);
+    }
+
+    #[test]
+    fn threads_parse_rejects_counts_above_the_bound() {
+        let max = MAX_THREADS.to_string();
+        assert_eq!(Threads::parse(&max).unwrap(), Threads::Fixed(MAX_THREADS));
+        let over = (MAX_THREADS + 1).to_string();
+        let err = Threads::parse(&over).unwrap_err();
+        assert!(err.contains(&max), "{err}");
+        assert!(Threads::parse("1000000").is_err());
     }
 
     /// The one test that *writes* the process environment; the lock

@@ -24,6 +24,7 @@
 #![deny(missing_docs)]
 
 use rdf_obs::json::{self, escape, Json};
+use rdf_par::MAX_THREADS;
 use std::fmt;
 
 /// Environment variable the server and client consult for a default
@@ -43,7 +44,8 @@ pub enum Request {
         output: String,
         /// Shard count for a sharded store; `None` for single-file.
         shards: Option<usize>,
-        /// Per-request thread budget; `None` for the server default.
+        /// Per-request thread budget in `1..=`[`MAX_THREADS`]; `None`
+        /// for the server default.
         threads: Option<usize>,
         /// Return the request's JSONL trace in the response.
         trace: bool,
@@ -55,10 +57,11 @@ pub enum Request {
         path: String,
         /// Compute the `--bisim` summary.
         bisim: bool,
-        /// Use the shard-at-a-time streaming engine (requires `bisim`
+        /// Refine shard at a time from the shard files (requires `bisim`
         /// and a `.rdfm` manifest).
         streaming: bool,
-        /// Per-request thread budget; `None` for the server default.
+        /// Per-request thread budget in `1..=`[`MAX_THREADS`]; `None`
+        /// for the server default.
         threads: Option<usize>,
         /// Return the request's JSONL trace in the response.
         trace: bool,
@@ -74,9 +77,11 @@ pub enum Request {
         method: String,
         /// Overlap threshold θ (overlap method only).
         theta: Option<f64>,
-        /// Run refinement through the streaming engine.
+        /// Run refinement shard at a time over range shards of the
+        /// combined graph (not for `overlap`).
         streaming: bool,
-        /// Per-request thread budget; `None` for the server default.
+        /// Per-request thread budget in `1..=`[`MAX_THREADS`]; `None`
+        /// for the server default.
         threads: Option<usize>,
         /// Return the request's JSONL trace in the response.
         trace: bool,
@@ -113,14 +118,14 @@ impl Request {
                 input: req_str(&v, "input")?,
                 output: req_str(&v, "output")?,
                 shards: opt_usize(&v, "shards")?,
-                threads: opt_usize(&v, "threads")?,
+                threads: opt_threads(&v)?,
                 trace: opt_bool(&v, "trace")?.unwrap_or(false),
             }),
             "info" => Ok(Request::Info {
                 path: req_str(&v, "path")?,
                 bisim: opt_bool(&v, "bisim")?.unwrap_or(false),
                 streaming: opt_bool(&v, "streaming")?.unwrap_or(false),
-                threads: opt_usize(&v, "threads")?,
+                threads: opt_threads(&v)?,
                 trace: opt_bool(&v, "trace")?.unwrap_or(false),
             }),
             "align" => Ok(Request::Align {
@@ -130,7 +135,7 @@ impl Request {
                     .unwrap_or_else(|| "hybrid".to_string()),
                 theta: opt_f64(&v, "theta")?,
                 streaming: opt_bool(&v, "streaming")?.unwrap_or(false),
-                threads: opt_usize(&v, "threads")?,
+                threads: opt_threads(&v)?,
                 trace: opt_bool(&v, "trace")?.unwrap_or(false),
             }),
             "stats" => Ok(Request::Stats),
@@ -406,6 +411,20 @@ fn opt_usize(v: &Json, key: &str) -> Result<Option<usize>, ProtocolError> {
     }
 }
 
+/// The `threads` field: absent, or an integer in `1..=`[`MAX_THREADS`].
+/// Anything larger would let one request start a thread per node of
+/// its graph in every refinement round.
+fn opt_threads(v: &Json) -> Result<Option<usize>, ProtocolError> {
+    match opt_usize(v, "threads")? {
+        Some(n) if !(1..=MAX_THREADS).contains(&n) => {
+            Err(ProtocolError::new(format!(
+                "field \"threads\" must be in 1..={MAX_THREADS}, got {n}"
+            )))
+        }
+        threads => Ok(threads),
+    }
+}
+
 fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, ProtocolError> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -540,6 +559,32 @@ mod tests {
                 err.to_string().contains(needle),
                 "{line}: expected {needle:?} in {err}"
             );
+        }
+    }
+
+    /// `threads` outside `1..=MAX_THREADS` is a parse error (which the
+    /// daemon answers as `bad_request`), on every op that takes it.
+    #[test]
+    fn thread_counts_outside_the_bound_are_rejected() {
+        let over = MAX_THREADS + 1;
+        for op in [
+            "\"op\":\"import\",\"input\":\"a.nt\",\"output\":\"a.rdfb\"",
+            "\"op\":\"info\",\"path\":\"a.rdfb\"",
+            "\"op\":\"align\",\"source\":\"a\",\"target\":\"b\"",
+        ] {
+            for bad in [0, over, 1_000_000] {
+                let line = format!("{{{op},\"threads\":{bad}}}");
+                let err = Request::parse(&line).unwrap_err().to_string();
+                assert!(
+                    err.contains("\"threads\" must be in 1..="),
+                    "{line}: {err}"
+                );
+            }
+            for ok in [1, MAX_THREADS] {
+                let line = format!("{{{op},\"threads\":{ok}}}");
+                let req = Request::parse(&line).unwrap();
+                assert!(req.to_line().contains(&format!("\"threads\":{ok}")));
+            }
         }
     }
 

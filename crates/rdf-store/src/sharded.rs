@@ -3,8 +3,9 @@
 //!
 //! The I/O-efficient bisimulation literature (Luo et al., Hellings et
 //! al.) scales past RAM by partitioning the store itself. This module
-//! splits one graph across N shard files so import, load and (later)
-//! refinement parallelise over the `rdf-par` gang:
+//! splits one graph across N shard files, so a load reads the shards
+//! on parallel scoped threads and a refinement can read them one at a
+//! time, per worker:
 //!
 //! * the **manifest** is an `RDFB` container of kind [`KIND_MANIFEST`]
 //!   carrying the *global* sections once — `SHRD` (hash seed + shard

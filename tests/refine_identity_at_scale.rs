@@ -1,19 +1,19 @@
 //! The engines' bit-identity contract at dataset scale, not just on
 //! proptest-sized graphs: on generated EFO (scale 1, v1→v2) and GtoPdb
-//! (the `pipeline_datasets.rs` size, v3→v4) pairs, the in-RAM engine at
-//! 1, 2 and 3 threads and the streaming engine over 4 shards must give
-//! the sequential reference's dense colors for the maximal bisimulation
-//! and for both Deblank and Hybrid stages.
+//! (the `pipeline_datasets.rs` size, v3→v4) pairs, the engine at 1, 2
+//! and 3 threads, on resident columns and over 4 range shards, must
+//! give the sequential reference's dense colors for the maximal
+//! bisimulation and for both Deblank and Hybrid stages.
 
 use rdf_align::methods::{
     blank_out, deblank_partition_with, hybrid_from_with,
-    hybrid_partition_streaming_with,
+    hybrid_partition_with,
 };
 use rdf_align::partition::unaligned_non_literals;
 use rdf_align::refine::{
     label_partition, reference_refine_fixpoint_mask, RefineOutcome,
 };
-use rdf_align::{RefineEngine, StreamingRefineEngine, Threads};
+use rdf_align::{RefineEngine, Threads};
 use rdf_datagen::{
     generate_efo, generate_gtopdb, EfoConfig, EvolvingDataset, GtopdbConfig,
 };
@@ -75,17 +75,17 @@ fn assert_engines_match_reference(c: &CombinedGraph) {
         };
         assert_same(&format!("hybrid t{t}"), &h, &hybrid);
 
-        let mut streaming = StreamingRefineEngine::new(Threads::Fixed(t));
+        let mut streaming = RefineEngine::new(Threads::Fixed(t));
         let b = streaming
-            .bisimulation(&shards, g.labels_raw())
+            .bisimulation_shards(&shards, g.labels_raw())
             .expect("in-memory shards");
         assert_same(&format!("streaming bisimulation t{t}"), &b, &bisim);
         let d = streaming
-            .refine_fixpoint_mask(&shards, label_partition(g), &blanks)
+            .refine_fixpoint_shards(&shards, label_partition(g), &blanks)
             .expect("in-memory shards");
         assert_same(&format!("streaming deblank t{t}"), &d, &deblank);
-        let h = hybrid_partition_streaming_with(c, &shards, &mut streaming)
-            .expect("in-memory shards");
+        streaming.set_stream_shards(Some(SHARDS));
+        let h = hybrid_partition_with(c, &mut streaming);
         let h = RefineOutcome {
             partition: h.partition,
             rounds: h.rounds,
